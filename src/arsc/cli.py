@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dct import FrequencyMask, process_image
+from .dct import DEFAULT_PARALLELISM, FrequencyMask, process_image
 from .mac import AccuracySelect, BITWIDTHS
 from .pgm import read_pgm, write_pgm
 from .platform_model import (
@@ -76,7 +76,7 @@ def default_platform() -> PlatformConfig:
         power_model=calibrate_power([(f, w) for _, f, w, _ in FPGA_TABLE]),
         schedule=AgingSchedule(FPGA_AGING_ANCHORS),
         base_freq_mhz=FPGA_TABLE[0][1],
-        parallelism=8,
+        parallelism=DEFAULT_PARALLELISM,
     )
 
 
@@ -119,7 +119,7 @@ def load_platform(path=None) -> PlatformConfig:
                 tuple((float(y), float(f)) for y, f in doc["aging_anchors_years_mhz"])
             ),
             base_freq_mhz=float(doc["base_freq_mhz"]),
-            parallelism=int(doc.get("parallelism", 8)),
+            parallelism=int(doc.get("parallelism", DEFAULT_PARALLELISM)),
         )
     except (KeyError, TypeError, json.JSONDecodeError) as e:
         raise ValueError(f"malformed platform config {path}: {e}") from None
@@ -179,9 +179,7 @@ def cmd_compress(args) -> int:
     mask = parse_mask(args.mask)
     cfg = load_platform(args.platform)
 
-    report = process_image(
-        img, sel, mask, parallelism=cfg.parallelism, workers=args.workers
-    )
+    report = process_image(img, sel, mask, parallelism=cfg.parallelism)
     write_pgm(report.output, args.output)
 
     print(f"input: {args.input} ({img.width}x{img.height})")
@@ -348,7 +346,7 @@ def cmd_calibrate(args) -> int:
         power_model=pm,
         schedule=AgingSchedule(FPGA_AGING_ANCHORS),
         base_freq_mhz=max(rows, key=lambda r: r[0])[1],
-        parallelism=8,
+        parallelism=DEFAULT_PARALLELISM,
     )
     save_platform(cfg, args.out)
     print(f"wrote: {args.out}")
@@ -372,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, choices=BITWIDTHS, default=10, help="accuracy bit-width")
     p.add_argument("--mask", default="lowpass:4", help="allpass | lowpass:K | file:PATH")
     p.add_argument("--platform", type=Path, help="platform config (default: bundled FPGA fit)")
-    p.add_argument("--workers", type=int, default=1, help="block-processing threads")
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("sweep", parents=[common], help="per-bit-width operating point table")

@@ -1,7 +1,8 @@
 """8-point DCT/IDCT image pipeline on the reconfigurable MAC.
 
-The fixed-point path runs entirely in sign-magnitude arithmetic on the
-counter-based multiplier; a float64 path with the same separable
+The fixed-point path reproduces the sign-magnitude MAC unit (mac.mac)
+bit for bit, batched over whole images through per-bit-width tables of
+counter-based products; a float64 path with the same separable
 structure serves as the accuracy reference. Every 1D stage output is
 scaled by 1/4 before buffering (and re-amplified by 4 in the inverse
 stages) so that all multiplier operands stay inside [0, 1); the net
@@ -11,14 +12,13 @@ forward+inverse gain is exactly 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .mac import AccuracySelect, SignMagnitude, mac
-from .sc_core import UnsignedFixed
+from .sc_core import UnsignedFixed, prefix_ones_array
 
 N = 8
 SAMPLE_WIDTH = 10          # m: buffer width of every pipeline stage
@@ -172,13 +172,14 @@ class FrequencyMask:
 def apply_mask(block, mask: FrequencyMask):
     """Elementwise product with the mask.
 
-    Accepts a fixed-point Block8x8 or a float array (reference path).
+    Accepts a fixed-point Block8x8, or an array of one or more 8x8
+    blocks: signed samples (fixed-point batches) or floats (reference).
     """
     if isinstance(block, Block8x8):
         raws = block.raws * mask.m
         signs = np.where(mask.m == 0, 1, block.signs)
         return Block8x8(signs, raws, block.width)
-    return np.asarray(block, dtype=np.float64) * mask.m
+    return np.asarray(block) * mask.m
 
 
 def dct1d_sc(a, sel: AccuracySelect):
@@ -209,67 +210,86 @@ def idct1d_sc(f, sel: AccuracySelect):
     return outputs, cycles
 
 
-def _mac_stage(signs, raws, width, csigns, weights, b, result_shift):
-    """One 1D MAC stage applied to every column of an 8-wide sample array.
+# multiplier slots of one 2D transform (2 stages x 8 vectors x 8 MACs x
+# 8 terms), each charged the fixed 2**b-cycle schedule
+_TRANSFORM_SLOTS = 2 * N * N * N
+CHUNK_BLOCKS = 256  # blocks per batch; bounds every temporary at ~100 KB
 
-    Bit-identical to eight mac() calls per column; vectorized so whole
-    images stay tractable. Returns (signs, raws, clamp count).
+
+@lru_cache(maxsize=None)
+def _product_tables(b: int, inverse: bool) -> np.ndarray:
+    """Signed MAC lane products of one transform direction at width b.
+
+    Entry [i, sv, k] is sign(sv) * csign[k, i] * prefix_ones(|sv|, b,
+    w[k, i]) for a signed b-bit sample sv in (-2**b, 2**b); negative sv
+    index from the end, as in Python. The inverse uses the transposed
+    coefficients. Every entry is at most 2**b in magnitude, so int16.
     """
-    xb = raws >> (width - b)
-    t = np.arange(b, dtype=np.int64)
-    # occurrences of stream-bit t within a prefix of length w
-    counts = (weights[None, :, :] + (1 << (b - 1 - t))[:, None, None]) >> (b - t)[:, None, None]
-    bits = (xb[None, :, :] >> t[:, None, None]) & 1
-    prod = np.einsum("tki,tij->kij", counts, bits)
-    acc = np.einsum("ki,ij,kij->kj", csigns, signs, prod)
-
-    out_signs = np.where(acc >= 0, 1, -1).astype(np.int64)
-    mag = np.abs(acc)
-    if result_shift >= 0:
-        mag >>= result_shift
-    else:
-        mag <<= -result_shift
-    clamps = int(np.count_nonzero(mag >= (1 << b)))
-    mag = np.minimum(mag, (1 << b) - 1)
-    return out_signs, mag << (width - b), clamps
-
-
-_STAGE_CYCLES = N * N  # MACs per stage x terms per MAC; times 2**b per frame
-
-
-def _dct2d_stats(block: Block8x8, sel: AccuracySelect, inverse: bool):
-    b = sel.bitwidth
     csigns, weights = _coeff_arrays(b)
-    shift = INTER_STAGE_SHIFT
     if inverse:
-        # inverse uses the transposed table, amplifies, and mirrors the
-        # pass order (rows first, then columns)
-        csigns, weights, shift = csigns.T, weights.T, -shift
+        csigns, weights = csigns.T, weights.T
+    mags = np.arange(1 << b)[None, :, None]
+    prod = prefix_ones_array(mags, b, weights.T[:, None, :]) * csigns.T[:, None, :]
+    table = np.concatenate([prod, -prod[:, :0:-1]], axis=1).astype(np.int16)
+    table.setflags(write=False)
+    return table
 
-    if not inverse:
-        # columns, then rows; the intermediate buffer holds the first pass
-        s1, r1, c1 = _mac_stage(block.signs, block.raws, block.width, csigns, weights, b, shift)
-        s2, r2, c2 = _mac_stage(s1.T, r1.T, block.width, csigns, weights, b, shift)
-        s2, r2 = s2.T, r2.T
+
+def _stage(x: np.ndarray, table: np.ndarray, shift: int, b: int):
+    """One 1D MAC stage over axis 1 of (B, 8, 8) signed b-bit samples.
+
+    Bit-identical to eight mac() calls per input vector. Output k of the
+    vector x[n, :, j] lands at [n, j, k], so two stages make a 2D
+    transform. Returns (samples, clamp count).
+    """
+    acc = table[0][x[:, 0]].astype(np.int32)
+    for i in range(1, N):
+        acc += table[i][x[:, i]]
+    mag = np.abs(acc)
+    if shift >= 0:
+        mag >>= shift
     else:
-        s1, r1, c1 = _mac_stage(block.signs.T, block.raws.T, block.width, csigns, weights, b, shift)
-        s1, r1 = s1.T, r1.T
-        s2, r2, c2 = _mac_stage(s1, r1, block.width, csigns, weights, b, shift)
+        mag <<= -shift
+    top = (1 << b) - 1
+    clamps = int(np.count_nonzero(mag > top))
+    np.minimum(mag, top, out=mag)
+    return np.where(acc < 0, -mag, mag), clamps
 
-    cycles = 2 * _STAGE_CYCLES * N * (1 << b)
-    return Block8x8(s2, r2, block.width), cycles, c1 + c2
+
+def _transform2d(x: np.ndarray, b: int, inverse: bool):
+    """Separable 2D transform of (B, 8, 8) signed b-bit samples.
+
+    Forward runs columns, then rows, scaling each pass by 1/4; inverse
+    uses the transposed table, amplifies by 4 and mirrors the pass order.
+    Returns (samples, clamp count).
+    """
+    table = _product_tables(b, inverse)
+    if not inverse:
+        y, c1 = _stage(x, table, INTER_STAGE_SHIFT, b)
+        z, c2 = _stage(y, table, INTER_STAGE_SHIFT, b)
+        return z, c1 + c2
+    y, c1 = _stage(x.swapaxes(1, 2), table, -INTER_STAGE_SHIFT, b)
+    z, c2 = _stage(y, table, -INTER_STAGE_SHIFT, b)
+    return z.swapaxes(1, 2), c1 + c2
+
+
+def _block_transform(block: Block8x8, sel: AccuracySelect, inverse: bool):
+    b = sel.bitwidth
+    drop = block.width - b
+    v, _ = _transform2d((block.signs * (block.raws >> drop))[None], b, inverse)
+    v = v[0].astype(np.int64)
+    out = Block8x8(np.where(v < 0, -1, 1), np.abs(v) << drop, block.width)
+    return out, _TRANSFORM_SLOTS << b
 
 
 def dct2d(block: Block8x8, sel: AccuracySelect):
     """Separable forward 2D transform: columns first, then rows."""
-    out, cycles, _ = _dct2d_stats(block, sel, inverse=False)
-    return out, cycles
+    return _block_transform(block, sel, inverse=False)
 
 
 def idct2d(block: Block8x8, sel: AccuracySelect):
     """Separable inverse 2D transform: rows first, then columns."""
-    out, cycles, _ = _dct2d_stats(block, sel, inverse=True)
-    return out, cycles
+    return _block_transform(block, sel, inverse=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,45 +347,48 @@ class PipelineReport:
     psnr_vs_reference: float
 
 
-def _pad_to_blocks(pixels: np.ndarray) -> np.ndarray:
+def _to_blocks(pixels: np.ndarray) -> np.ndarray:
+    """(B, 8, 8) row-major blocks of the image, edge-padded to whole blocks."""
     h, w = pixels.shape
-    return np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
+    padded = np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
+    rows, cols = padded.shape[0] // N, padded.shape[1] // N
+    return padded.reshape(rows, N, cols, N).swapaxes(1, 2).reshape(-1, N, N)
 
 
-def _denormalize(signs: np.ndarray, raws: np.ndarray) -> np.ndarray:
-    # raw units are 1/1024 of full scale; a pixel step is 4 units.
-    # Round half away from zero, then clamp to the pixel range.
-    mag_px = (raws + (1 << (PIXEL_SHIFT - 1))) >> PIXEL_SHIFT
-    return np.clip(signs * mag_px, 0, 255).astype(np.uint8)
+def _from_blocks(blocks: np.ndarray, img: GrayImage) -> GrayImage:
+    """Inverse of _to_blocks, cropped to the image's own size."""
+    rows, cols = -(-img.height // N), -(-img.width // N)
+    pixels = blocks.reshape(rows, cols, N, N).swapaxes(1, 2).reshape(rows * N, cols * N)
+    return GrayImage(pixels[: img.height, : img.width])
 
 
-def _fixed_block(pixels: np.ndarray, sel: AccuracySelect, mask: FrequencyMask):
-    block = Block8x8(
-        np.ones((N, N), dtype=np.int64),
-        pixels.astype(np.int64) << PIXEL_SHIFT,
-        SAMPLE_WIDTH,
-    )
-    f, cyc_f, cl_f = _dct2d_stats(block, sel, inverse=False)
-    masked = apply_mask(f, mask)
-    out, cyc_i, cl_i = _dct2d_stats(masked, sel, inverse=True)
-    return _denormalize(out.signs, out.raws), cyc_f + cyc_i, cl_f + cl_i
+def _fixed_chunk(pixels: np.ndarray, b: int, mask: FrequencyMask):
+    # a pixel p is the 10-bit sample p << PIXEL_SHIFT, truncated to b bits
+    x = (pixels.astype(np.int32) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
+    f, c1 = _transform2d(x, b, inverse=False)
+    v, c2 = _transform2d(apply_mask(f, mask), b, inverse=True)
+    # raw units are 1/1024 of full scale; a pixel step is 4 units. Round
+    # half away from zero: a negative sample floors to <= 0, which the
+    # clip to the pixel range zeroes anyway.
+    raws = v << (SAMPLE_WIDTH - b)
+    out = np.clip((raws + (1 << (PIXEL_SHIFT - 1))) >> PIXEL_SHIFT, 0, 255)
+    return out.astype(np.uint8), c1 + c2
 
 
-def _reference_block(pixels: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    b = pixels.astype(np.float64) / 256.0
-    out = idct2d_ref(apply_mask(dct2d_ref(b), mask)) * 256.0
+def _reference_chunk(pixels: np.ndarray, mask: FrequencyMask) -> np.ndarray:
+    x = pixels / 256.0
+    out = idct2d_ref(apply_mask(dct2d_ref(x), mask)) * 256.0
     rounded = np.sign(out) * np.floor(np.abs(out) + 0.5)
     return np.clip(rounded, 0, 255).astype(np.uint8)
 
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
     """Float64 pipeline with the same blocking and mask; the accuracy baseline."""
-    padded = _pad_to_blocks(img.pixels)
-    out = np.empty_like(padded)
-    for by in range(0, padded.shape[0], N):
-        for bx in range(0, padded.shape[1], N):
-            out[by:by + N, bx:bx + N] = _reference_block(padded[by:by + N, bx:bx + N], mask)
-    return GrayImage(out[: img.height, : img.width])
+    blocks = _to_blocks(img.pixels)
+    out = np.empty_like(blocks)
+    for s in range(0, len(blocks), CHUNK_BLOCKS):
+        out[s:s + CHUNK_BLOCKS] = _reference_chunk(blocks[s:s + CHUNK_BLOCKS], mask)
+    return _from_blocks(out, img)
 
 
 def process_image(
@@ -373,46 +396,29 @@ def process_image(
     sel: AccuracySelect,
     mask: FrequencyMask,
     parallelism: int = DEFAULT_PARALLELISM,
-    workers: int = 1,
 ) -> PipelineReport:
     """Run the fixed-point pipeline over a whole image.
 
     Pixels are padded to 8x8 blocks by edge replication and normalized
     to p/256 at the 10-bit stage width. Per block: forward 2D transform,
     frequency mask, inverse 2D transform, then rounding de-normalization
-    back to 0..255. Total cycles are the summed fixed MAC schedules
-    divided by the hardware parallelism factor. Blocks may be processed
-    by several workers; the result is bit-identical to sequential order.
+    back to 0..255. Blocks run in batches of CHUNK_BLOCKS. Total cycles
+    are the summed fixed MAC schedules divided by the hardware
+    parallelism factor.
     """
     if parallelism < 1:
         raise ValueError("parallelism factor must be >= 1")
-    padded = _pad_to_blocks(img.pixels)
-    coords = [
-        (by, bx)
-        for by in range(0, padded.shape[0], N)
-        for bx in range(0, padded.shape[1], N)
-    ]
-
-    def run(coord):
-        by, bx = coord
-        return _fixed_block(padded[by:by + N, bx:bx + N], sel, mask)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, coords))
-    else:
-        results = [run(c) for c in coords]
-
-    out = np.empty_like(padded)
-    total_cycles = 0
+    b = sel.bitwidth
+    blocks = _to_blocks(img.pixels)
+    out = np.empty_like(blocks)
     clamp_count = 0
-    for (by, bx), (pix, cycles, clamps) in zip(coords, results):
-        out[by:by + N, bx:bx + N] = pix
-        total_cycles += cycles
+    for s in range(0, len(blocks), CHUNK_BLOCKS):
+        out[s:s + CHUNK_BLOCKS], clamps = _fixed_chunk(blocks[s:s + CHUNK_BLOCKS], b, mask)
         clamp_count += clamps
 
-    output = GrayImage(out[: img.height, : img.width])
+    output = _from_blocks(out, img)
     reference = reference_pipeline(img, mask)
+    total_cycles = (len(blocks) * 2 * _TRANSFORM_SLOTS) << b  # forward + inverse
     return PipelineReport(
         output=output,
         total_cycles_fixed=total_cycles // parallelism,

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 UNIPOLAR = "unipolar"
 BIPOLAR = "bipolar"
 
@@ -278,6 +280,16 @@ def prefix_ones(raw: int, width: int, count: int) -> int:
     for j in range(width):
         if (raw >> j) & 1:
             total += (count + (1 << (width - 1 - j))) >> (width - j)
+    return total
+
+
+def prefix_ones_array(raw, width: int, count) -> np.ndarray:
+    """``prefix_ones`` elementwise over broadcast integer arrays (int32)."""
+    raw = np.asarray(raw, dtype=np.int32)
+    count = np.asarray(count, dtype=np.int32)
+    total = np.zeros(np.broadcast_shapes(raw.shape, count.shape), dtype=np.int32)
+    for j in range(width):
+        total += ((raw >> j) & 1) * ((count + (1 << (width - 1 - j))) >> (width - j))
     return total
 
 

@@ -68,12 +68,11 @@ class TestCompress:
         assert r1.read_bytes() == r2.read_bytes()
         assert r1.read_text().splitlines()[0] == REPORT_HEADER
 
-    def test_workers_do_not_change_output(self, tmp_path, small_image):
-        out1, out2 = tmp_path / "o1.pgm", tmp_path / "o2.pgm"
-        main(["compress", "--in", str(small_image), "--out", str(out1), "--bits", "8"])
-        main(["compress", "--in", str(small_image), "--out", str(out2), "--bits", "8",
-              "--workers", "4"])
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_workers_option_removed(self, tmp_path, small_image):
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", "--in", str(small_image), "--out", str(tmp_path / "o.pgm"),
+                  "--workers", "2"])
+        assert exc.value.code != 0
 
     def test_missing_input(self, tmp_path):
         rc = main(["compress", "--in", str(tmp_path / "nope.pgm"),

@@ -8,7 +8,9 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arsc.dct
 from arsc.dct import (
+    DEFAULT_PARALLELISM,
     Block8x8,
     FrequencyMask,
     GrayImage,
@@ -28,8 +30,9 @@ from arsc.dct import (
     process_image,
     psnr,
     quantize_coefficients,
+    reference_pipeline,
 )
-from arsc.mac import AccuracySelect, SignMagnitude
+from arsc.mac import AccuracySelect, SignMagnitude, mac
 from arsc.refimage import reference_image
 from arsc.sc_core import UnsignedFixed
 
@@ -375,20 +378,98 @@ class TestProcessImage:
         # divided by the parallelism factor 8
         assert rep.total_cycles_fixed == 4 * 2048 * 1024 // 8
 
-    def test_workers_bit_identical(self):
-        img = GrayImage(reference_image().pixels[:48, :48].copy())
-        mask = FrequencyMask.lowpass(4)
-        sel = AccuracySelect.from_bitwidth(8)
-        seq = process_image(img, sel, mask, workers=1)
-        par = process_image(img, sel, mask, workers=4)
-        assert seq.output == par.output
-        assert seq.total_cycles_fixed == par.total_cycles_fixed
-        assert seq.clamp_count == par.clamp_count
-
     def test_parallelism_validation(self):
         img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
         with pytest.raises(ValueError):
             process_image(img, AccuracySelect(0), FrequencyMask.allpass(), parallelism=0)
+
+
+def _padded_blocks(pixels):
+    h, w = pixels.shape
+    padded = np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
+    for by in range(0, padded.shape[0], N):
+        for bx in range(0, padded.shape[1], N):
+            yield by, bx, padded[by:by + N, bx:bx + N]
+
+
+def _scalar_pipeline(pixels, sel, mask):
+    """process_image block by block on the scalar MAC: dct1d_sc columns then
+    rows, the mask, idct1d_sc rows then columns, round-half-away pixels."""
+    h, w = pixels.shape
+    out = np.zeros((h + N, w + N), dtype=np.uint8)
+    cycles = 0
+    for by, bx, blk in _padded_blocks(pixels):
+        x = [[sm(1, int(p) << 2) for p in row] for row in blk]
+        cols = []  # cols[j][k]
+        for j in range(N):
+            outs, c = dct1d_sc([x[i][j] for i in range(N)], sel)
+            cols.append(outs)
+            cycles += c
+        freq = []  # freq[k][l]
+        for k in range(N):
+            outs, c = dct1d_sc([cols[j][k] for j in range(N)], sel)
+            freq.append(outs)
+            cycles += c
+        masked = apply_mask(Block8x8.from_samples(freq), mask)
+        rows = []  # rows[k][i]
+        for k in range(N):
+            outs, c = idct1d_sc([masked.sample(k, l) for l in range(N)], sel)
+            rows.append(outs)
+            cycles += c
+        for i in range(N):
+            outs, c = idct1d_sc([rows[k][i] for k in range(N)], sel)
+            cycles += c
+            for r, s in enumerate(outs):
+                out[by + r, bx + i] = min(max(s.sign * ((s.mag.raw + 2) >> 2), 0), 255)
+    return out[:h, :w], cycles // DEFAULT_PARALLELISM
+
+
+ORACLE_IMAGES = {
+    # odd size: padding on both axes
+    "noise": np.random.default_rng(31).integers(0, 256, size=(11, 13)).astype(np.uint8),
+    # full-swing patterns: stage clamps and negative outputs
+    "checkerboard": (np.indices((8, 16)).sum(axis=0) % 2 * 255).astype(np.uint8),
+    "stripes": (np.indices((16, 8))[1] % 2 * 255).astype(np.uint8),
+}
+
+
+class TestBatchedEngineOracle:
+    """The batched whole-image engine against the scalar MAC path."""
+
+    @pytest.mark.parametrize("bits", [10, 9, 8, 7, 6])
+    def test_matches_scalar_mac(self, bits, monkeypatch):
+        clamps = []
+
+        def counting_mac(*args, **kwargs):
+            r = mac(*args, **kwargs)
+            clamps.append(r.clamped)
+            return r
+
+        monkeypatch.setattr(arsc.dct, "mac", counting_mac)
+        sel = AccuracySelect.from_bitwidth(bits)
+        seen = 0
+        for name, pixels in ORACLE_IMAGES.items():
+            for mask in (FrequencyMask.allpass(), FrequencyMask.lowpass(4)):
+                clamps.clear()
+                want, cycles = _scalar_pipeline(pixels, sel, mask)
+                rep = process_image(GrayImage(pixels), sel, mask)
+                assert np.array_equal(rep.output.pixels, want), (name, mask.m.sum())
+                assert rep.clamp_count == sum(clamps), (name, mask.m.sum())
+                assert rep.total_cycles_fixed == cycles
+                seen += rep.clamp_count
+        assert seen > 0
+
+    @pytest.mark.parametrize("mask", [FrequencyMask.allpass(), FrequencyMask.lowpass(4)])
+    def test_reference_matches_per_block_float(self, mask):
+        for pixels in ORACLE_IMAGES.values():
+            h, w = pixels.shape
+            want = np.zeros((h + N, w + N), dtype=np.uint8)
+            for by, bx, blk in _padded_blocks(pixels):
+                out = idct2d_ref(apply_mask(dct2d_ref(blk / 256.0), mask)) * 256.0
+                rounded = np.sign(out) * np.floor(np.abs(out) + 0.5)
+                want[by:by + N, bx:bx + N] = np.clip(rounded, 0, 255)
+            got = reference_pipeline(GrayImage(pixels), mask)
+            assert np.array_equal(got.pixels, want[:h, :w])
 
 
 class TestGrayImage:

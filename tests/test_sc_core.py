@@ -1,5 +1,6 @@
 """Stream generation and gate-level arithmetic."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from arsc.sc_core import (
     lfsr_step,
     mux_add,
     prefix_ones,
+    prefix_ones_array,
     sng_conventional,
     sng_deterministic,
     stream_to_binary,
@@ -262,3 +264,10 @@ class TestCbscMultiply:
                 p = prefix_ones(x, n, w)
                 assert p >= prev
                 prev = p
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_array_form_matches_scalar_exhaustive(self, n):
+        size = 1 << n
+        got = prefix_ones_array(np.arange(size)[:, None], n, np.arange(size + 1)[None, :])
+        want = [[prefix_ones(x, n, w) for w in range(size + 1)] for x in range(size)]
+        assert got.tolist() == want
