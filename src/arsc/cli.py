@@ -7,37 +7,32 @@ Commands:
   verify-mul  exhaustive multiplier identity and error report
   calibrate   fit cycle/power models from a measurement CSV
 
-All commands are deterministic given their flags and --seed; report
-files are byte-identical across runs.
+All commands are deterministic given their flags (verify-mul's --seed
+seeds its LFSR generators); report files are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dct import DEFAULT_PARALLELISM, FrequencyMask, process_image
+from .dct import FrequencyMask, process_image
 from .mac import AccuracySelect, BITWIDTHS
 from .pgm import read_pgm, write_pgm
 from .platform_model import (
-    AgingSchedule,
     CalibrationError,
-    CycleModel,
-    PowerModel,
-    FPGA_AGING_ANCHORS,
-    FPGA_TABLE,
-    calibrate_cycles,
-    calibrate_power,
-    cycle_residuals,
+    PlatformConfig,
+    calibrate_platform,
+    calibration_residuals,
     frequency_at_year,
+    load_platform,
     min_bitwidth_for_throughput,
     min_frequency_for_throughput,
-    power_residuals,
+    save_platform,
     throughput,
 )
 from .sc_core import (
@@ -56,73 +51,6 @@ REPORT_HEADER = "bitwidth,freq_mhz,power_w,psnr_db,latency_s,throughput_fps"
 AGING_HEADER = "year,freq_mhz,bitwidth,throughput_fps,feasible"
 VERIFY_HEADER = "n,pairs,identity_ok,cbsc_max_abs_err,cbsc_mean_abs_err,conv_mean_abs_err"
 DEFAULT_TARGET_FPS = 7.19
-
-
-@dataclass(frozen=True)
-class PlatformConfig:
-    """Loaded platform description: calibrated models plus constants."""
-
-    cycle_model: CycleModel
-    power_model: PowerModel
-    schedule: AgingSchedule
-    base_freq_mhz: float
-    parallelism: int
-
-
-def default_platform() -> PlatformConfig:
-    rows = [(b, f, lat) for b, f, _, lat in FPGA_TABLE]
-    return PlatformConfig(
-        cycle_model=calibrate_cycles(rows),
-        power_model=calibrate_power([(f, w) for _, f, w, _ in FPGA_TABLE]),
-        schedule=AgingSchedule(FPGA_AGING_ANCHORS),
-        base_freq_mhz=FPGA_TABLE[0][1],
-        parallelism=DEFAULT_PARALLELISM,
-    )
-
-
-def platform_to_dict(cfg: PlatformConfig) -> dict:
-    return {
-        "cycle_model": {
-            "c_sc_cycles": cfg.cycle_model.c_sc,
-            "c_ovh_cycles": cfg.cycle_model.c_ovh,
-        },
-        "power_model": {
-            "p_static_w": cfg.power_model.p_static,
-            "p_dyn_w_per_mhz": cfg.power_model.p_dyn,
-        },
-        "base_freq_mhz": cfg.base_freq_mhz,
-        "aging_anchors_years_mhz": [list(a) for a in cfg.schedule.anchors],
-        "parallelism": cfg.parallelism,
-    }
-
-
-def save_platform(cfg: PlatformConfig, path) -> None:
-    Path(path).write_text(json.dumps(platform_to_dict(cfg), indent=2) + "\n")
-
-
-def load_platform(path=None) -> PlatformConfig:
-    """Load a platform config file, or the bundled FPGA defaults."""
-    if path is None:
-        return default_platform()
-    try:
-        doc = json.loads(Path(path).read_text())
-        return PlatformConfig(
-            cycle_model=CycleModel(
-                float(doc["cycle_model"]["c_sc_cycles"]),
-                float(doc["cycle_model"]["c_ovh_cycles"]),
-            ),
-            power_model=PowerModel(
-                float(doc["power_model"]["p_static_w"]),
-                float(doc["power_model"]["p_dyn_w_per_mhz"]),
-            ),
-            schedule=AgingSchedule(
-                tuple((float(y), float(f)) for y, f in doc["aging_anchors_years_mhz"])
-            ),
-            base_freq_mhz=float(doc["base_freq_mhz"]),
-            parallelism=int(doc.get("parallelism", DEFAULT_PARALLELISM)),
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as e:
-        raise ValueError(f"malformed platform config {path}: {e}") from None
 
 
 def parse_mask(spec: str) -> FrequencyMask:
@@ -326,31 +254,32 @@ def _read_rows_csv(path):
 
 def cmd_calibrate(args) -> int:
     rows = _read_rows_csv(args.rows)
-    cycle_rows = [(b, f, lat) for b, f, _, lat in rows]
-    power_rows = [(f, w) for _, f, w, _ in rows]
+    cfg = calibrate_platform(rows)
 
-    cm = calibrate_cycles(cycle_rows)
-    pm = calibrate_power(power_rows)
-
-    print(f"c_sc_cycles: {cm.c_sc:.4f}")
-    print(f"c_ovh_cycles: {cm.c_ovh:.4f}")
-    print(f"p_static_w: {pm.p_static:.6f}")
-    print(f"p_dyn_w_per_mhz: {pm.p_dyn:.8f}")
-    for (b, f, _, _), cres, pres in zip(
-        rows, cycle_residuals(cm, cycle_rows), power_residuals(pm, power_rows)
-    ):
+    print(f"c_sc_cycles: {cfg.cycle_model.c_sc:.4f}")
+    print(f"c_ovh_cycles: {cfg.cycle_model.c_ovh:.4f}")
+    print(f"p_static_w: {cfg.power_model.p_static:.6f}")
+    print(f"p_dyn_w_per_mhz: {cfg.power_model.p_dyn:.8f}")
+    for (b, f, _, _), (cres, pres) in zip(rows, calibration_residuals(cfg, rows)):
         print(f"b={b} f={f:g}MHz: cycle_residual={cres:.2%} power_residual={pres:.2%}")
 
-    cfg = PlatformConfig(
-        cycle_model=cm,
-        power_model=pm,
-        schedule=AgingSchedule(FPGA_AGING_ANCHORS),
-        base_freq_mhz=max(rows, key=lambda r: r[0])[1],
-        parallelism=DEFAULT_PARALLELISM,
-    )
     save_platform(cfg, args.out)
     print(f"wrote: {args.out}")
     return 0
+
+
+def finite_positive_float(text: str) -> float:
+    v = float(text)
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return v
+
+
+def nonnegative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return v
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", type=Path, help="write the command's CSV report here")
-    common.add_argument("--seed", type=int, default=1, help="LFSR seed (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compress", parents=[common], help="run one image through the pipeline")
@@ -375,22 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="per-bit-width operating point table")
     p.add_argument("--in", dest="input", required=True, type=Path, help="input PGM (P5)")
     p.add_argument("--platform", type=Path, help="platform config (default: bundled FPGA fit)")
-    p.add_argument("--target", type=float, default=DEFAULT_TARGET_FPS, help="target throughput (fps)")
+    p.add_argument("--target", type=finite_positive_float, default=DEFAULT_TARGET_FPS,
+                   help="target throughput (fps)")
     p.add_argument("--mask", default="lowpass:4", help="allpass | lowpass:K | file:PATH")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("aging", parents=[common], help="aged clock and bit-width per year")
     p.add_argument("--platform", type=Path, help="platform config (default: bundled FPGA fit)")
-    p.add_argument("--target", type=float, default=DEFAULT_TARGET_FPS, help="target throughput (fps)")
-    p.add_argument("--years", type=int, default=10, help="last year to evaluate")
+    p.add_argument("--target", type=finite_positive_float, default=DEFAULT_TARGET_FPS,
+                   help="target throughput (fps)")
+    p.add_argument("--years", type=nonnegative_int, default=10, help="last year to evaluate")
     p.set_defaults(func=cmd_aging)
 
     p = sub.add_parser("verify-mul", parents=[common], help="exhaustive multiplier verification")
     p.add_argument("--max-n", type=int, choices=range(3, 11), default=8, metavar="N",
                    help="largest operand width to sweep (3..10)")
+    p.add_argument("--seed", type=int, default=1, help="LFSR seed (default 1)")
     p.set_defaults(func=cmd_verify_mul)
 
-    p = sub.add_parser("calibrate", parents=[common], help="fit platform models from a rows CSV")
+    p = sub.add_parser("calibrate", help="fit platform models from a rows CSV")
     p.add_argument("--rows", required=True, type=Path,
                    help="CSV with bitwidth,freq_mhz,power_w,latency_s columns")
     p.add_argument("--out", required=True, type=Path, help="platform config to write")

@@ -367,11 +367,12 @@ def _fixed_chunk(pixels: np.ndarray, b: int, mask: FrequencyMask):
     x = (pixels.astype(np.int32) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
     f, c1 = _transform2d(x, b, inverse=False)
     v, c2 = _transform2d(apply_mask(f, mask), b, inverse=True)
-    # raw units are 1/1024 of full scale; a pixel step is 4 units. Round
-    # half away from zero: a negative sample floors to <= 0, which the
-    # clip to the pixel range zeroes anyway.
+    # raw units are 1/1024 of full scale; a pixel step is 4 units. The last
+    # inverse stage shifts left by 2, so an unsaturated sample is already a
+    # whole pixel step, and a saturated one, +-(2**b - 1), clips to 255 or 0
+    # with or without rounding: the shift alone rounds exactly.
     raws = v << (SAMPLE_WIDTH - b)
-    out = np.clip((raws + (1 << (PIXEL_SHIFT - 1))) >> PIXEL_SHIFT, 0, 255)
+    out = np.clip(raws >> PIXEL_SHIFT, 0, 255)
     return out.astype(np.uint8), c1 + c2
 
 

@@ -9,11 +9,15 @@ current (aged) clock.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .dct import DEFAULT_PARALLELISM
 from .mac import BITWIDTHS
 
 
@@ -52,10 +56,10 @@ class CycleModel:
     c_ovh: float
 
     def __post_init__(self):
-        if self.c_sc <= 0:
-            raise ValueError(f"c_sc must be positive, got {self.c_sc}")
-        if self.c_ovh < 0:
-            raise ValueError(f"c_ovh must be >= 0, got {self.c_ovh}")
+        if not 0 < self.c_sc < math.inf:
+            raise ValueError(f"c_sc must be positive and finite, got {self.c_sc}")
+        if not 0 <= self.c_ovh < math.inf:
+            raise ValueError(f"c_ovh must be >= 0 and finite, got {self.c_ovh}")
 
     def cycles_per_frame(self, b: int) -> float:
         return self.c_sc * (1 << b) + self.c_ovh
@@ -69,10 +73,10 @@ class PowerModel:
     p_dyn: float
 
     def __post_init__(self):
-        if self.p_static < 0:
-            raise ValueError(f"p_static must be >= 0, got {self.p_static}")
-        if self.p_dyn <= 0:
-            raise ValueError(f"p_dyn must be positive, got {self.p_dyn}")
+        if not 0 <= self.p_static < math.inf:
+            raise ValueError(f"p_static must be >= 0 and finite, got {self.p_static}")
+        if not 0 < self.p_dyn < math.inf:
+            raise ValueError(f"p_dyn must be positive and finite, got {self.p_dyn}")
 
     def power(self, freq_mhz: float) -> float:
         return self.p_static + self.p_dyn * freq_mhz
@@ -87,6 +91,8 @@ class AgingSchedule:
     def __post_init__(self):
         if len(self.anchors) < 2:
             raise ValueError("need at least two aging anchors")
+        if not all(math.isfinite(v) for anchor in self.anchors for v in anchor):
+            raise ValueError(f"aging anchors must be finite, got {self.anchors}")
         years = [a[0] for a in self.anchors]
         freqs = [a[1] for a in self.anchors]
         if any(b <= a for a, b in zip(years, years[1:])):
@@ -110,6 +116,34 @@ class OperatingPoint:
     latency_s: float
 
 
+@dataclass(frozen=True)
+class PlatformConfig:
+    """Calibrated models plus the platform constants they are used with."""
+
+    cycle_model: CycleModel
+    power_model: PowerModel
+    schedule: AgingSchedule
+    base_freq_mhz: float
+    parallelism: int
+
+    def __post_init__(self):
+        if not 0 < self.base_freq_mhz < math.inf:
+            raise ValueError(f"base_freq_mhz must be positive and finite, got {self.base_freq_mhz}")
+
+
+def _base_freq(rows) -> float:
+    """Base clock of measured rows: the highest-bitwidth row's frequency."""
+    return max(rows, key=lambda r: r[0])[1]
+
+
+def _check_residuals(what: str, labels, residuals) -> None:
+    # written so that a NaN residual fails the bound
+    bad = [(label, res) for label, res in zip(labels, residuals) if not res <= _RESIDUAL_BOUND]
+    if bad:
+        detail = ", ".join(f"{label}: {res:.1%}" for label, res in bad)
+        raise CalibrationError(f"{what} fit residuals exceed 5%: {detail}")
+
+
 def _fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     slope, intercept = np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)
     return float(slope), float(intercept)
@@ -128,13 +162,13 @@ def calibrate_cycles(rows: Sequence[tuple[int, float, float]]) -> CycleModel:
     bits = [int(r[0]) for r in rows]
     if len(set(bits)) != len(bits):
         raise CalibrationError("calibration rows must have distinct bit-widths")
-    base_freq = max(rows, key=lambda r: r[0])[1]
-    if base_freq <= 0:
-        raise CalibrationError("base frequency must be positive")
+    base_freq = _base_freq(rows)
+    if not 0 < base_freq < math.inf:
+        raise CalibrationError("base frequency must be positive and finite")
     x = [float(1 << b) for b in bits]
     cycles = [r[2] * base_freq * 1e6 for r in rows]
-    if any(c <= 0 for c in cycles):
-        raise CalibrationError("latencies must be positive")
+    if not all(0 < c < math.inf for c in cycles):
+        raise CalibrationError("latencies must be positive and finite")
 
     c_sc, c_ovh = _fit_line(x, cycles)
     if c_sc <= 0:
@@ -143,21 +177,13 @@ def calibrate_cycles(rows: Sequence[tuple[int, float, float]]) -> CycleModel:
     if c_ovh < -1e-6 * max(cycles):
         raise CalibrationError(f"fit produced negative overhead (c_ovh={c_ovh:.4g})")
     model = CycleModel(c_sc, max(c_ovh, 0.0))
-
-    bad = []
-    for b, c in zip(bits, cycles):
-        res = abs(model.cycles_per_frame(b) - c) / c
-        if res > _RESIDUAL_BOUND:
-            bad.append((b, res))
-    if bad:
-        detail = ", ".join(f"b={b}: {res:.1%}" for b, res in bad)
-        raise CalibrationError(f"cycle fit residuals exceed 5%: {detail}")
+    _check_residuals("cycle", [f"b={b}" for b in bits], cycle_residuals(model, rows))
     return model
 
 
 def cycle_residuals(model: CycleModel, rows: Sequence[tuple[int, float, float]]) -> list[float]:
     """Relative residual per calibration row, in row order."""
-    base_freq = max(rows, key=lambda r: r[0])[1]
+    base_freq = _base_freq(rows)
     out = []
     for b, _, lat in rows:
         c = lat * base_freq * 1e6
@@ -171,6 +197,8 @@ def calibrate_power(rows: Sequence[tuple[float, float]]) -> PowerModel:
         raise CalibrationError("need at least two power rows")
     freqs = [float(r[0]) for r in rows]
     watts = [float(r[1]) for r in rows]
+    if not all(0 < v < math.inf for v in freqs + watts):
+        raise CalibrationError("power rows must be positive and finite")
     if len(set(freqs)) < 2:
         raise CalibrationError("power rows must cover at least two distinct frequencies")
 
@@ -180,20 +208,37 @@ def calibrate_power(rows: Sequence[tuple[float, float]]) -> PowerModel:
     if p_static < -1e-9:
         raise CalibrationError(f"fit produced negative static power ({p_static:.4g})")
     model = PowerModel(max(p_static, 0.0), p_dyn)
-
-    bad = [
-        (f, abs(model.power(f) - w) / w)
-        for f, w in zip(freqs, watts)
-        if abs(model.power(f) - w) / w > _RESIDUAL_BOUND
-    ]
-    if bad:
-        detail = ", ".join(f"f={f:g}MHz: {res:.1%}" for f, res in bad)
-        raise CalibrationError(f"power fit residuals exceed 5%: {detail}")
+    _check_residuals("power", [f"f={f:g}MHz" for f in freqs], power_residuals(model, rows))
     return model
 
 
 def power_residuals(model: PowerModel, rows: Sequence[tuple[float, float]]) -> list[float]:
     return [abs(model.power(f) - w) / w for f, w in rows]
+
+
+def _split_rows(rows):
+    """(bitwidth, freq, latency) cycle rows and (freq, watts) power rows."""
+    return [(b, f, lat) for b, f, _, lat in rows], [(f, w) for _, f, w, _ in rows]
+
+
+def calibrate_platform(rows: Sequence[tuple[int, float, float, float]]) -> PlatformConfig:
+    """Fit both models to measured (bitwidth, freq MHz, watts, latency s) rows,
+    with the FPGA aging anchors and the default hardware parallelism."""
+    cycle_rows, power_rows = _split_rows(rows)
+    return PlatformConfig(
+        cycle_model=calibrate_cycles(cycle_rows),
+        power_model=calibrate_power(power_rows),
+        schedule=AgingSchedule(FPGA_AGING_ANCHORS),
+        base_freq_mhz=_base_freq(rows),
+        parallelism=DEFAULT_PARALLELISM,
+    )
+
+
+def calibration_residuals(cfg: PlatformConfig, rows) -> list[tuple[float, float]]:
+    """(cycle, power) relative residual of cfg's models per measured row."""
+    cycle_rows, power_rows = _split_rows(rows)
+    return list(zip(cycle_residuals(cfg.cycle_model, cycle_rows),
+                    power_residuals(cfg.power_model, power_rows)))
 
 
 def frequency_at_year(s: AgingSchedule, t: float) -> float:
@@ -253,13 +298,61 @@ def select_config(
     return OperatingPoint(b, freq, tp, pm.power(freq), 1.0 / tp)
 
 
+def default_platform() -> PlatformConfig:
+    """The platform calibrated from the bundled FPGA measurement table."""
+    return calibrate_platform(FPGA_TABLE)
+
+
 def default_cycle_model() -> CycleModel:
-    return calibrate_cycles([(b, f, lat) for b, f, _, lat in FPGA_TABLE])
+    return default_platform().cycle_model
 
 
 def default_power_model() -> PowerModel:
-    return calibrate_power([(f, w) for _, f, w, _ in FPGA_TABLE])
+    return default_platform().power_model
 
 
 def default_aging_schedule() -> AgingSchedule:
-    return AgingSchedule(FPGA_AGING_ANCHORS)
+    return default_platform().schedule
+
+
+def save_platform(cfg: PlatformConfig, path) -> None:
+    """Write cfg as a platform config file; non-finite values are refused."""
+    doc = {
+        "cycle_model": {
+            "c_sc_cycles": cfg.cycle_model.c_sc,
+            "c_ovh_cycles": cfg.cycle_model.c_ovh,
+        },
+        "power_model": {
+            "p_static_w": cfg.power_model.p_static,
+            "p_dyn_w_per_mhz": cfg.power_model.p_dyn,
+        },
+        "base_freq_mhz": cfg.base_freq_mhz,
+        "aging_anchors_years_mhz": [list(a) for a in cfg.schedule.anchors],
+        "parallelism": cfg.parallelism,
+    }
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def load_platform(path=None) -> PlatformConfig:
+    """Load a platform config file, or the bundled FPGA defaults."""
+    if path is None:
+        return default_platform()
+    try:
+        doc = json.loads(Path(path).read_text())
+        return PlatformConfig(
+            cycle_model=CycleModel(
+                float(doc["cycle_model"]["c_sc_cycles"]),
+                float(doc["cycle_model"]["c_ovh_cycles"]),
+            ),
+            power_model=PowerModel(
+                float(doc["power_model"]["p_static_w"]),
+                float(doc["power_model"]["p_dyn_w_per_mhz"]),
+            ),
+            schedule=AgingSchedule(
+                tuple((float(y), float(f)) for y, f in doc["aging_anchors_years_mhz"])
+            ),
+            base_freq_mhz=float(doc["base_freq_mhz"]),
+            parallelism=int(doc.get("parallelism", DEFAULT_PARALLELISM)),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"malformed platform config {path}: {e}") from None

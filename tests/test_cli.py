@@ -1,20 +1,20 @@
 """Command-line interface: all five commands plus their failure modes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from arsc.cli import (
-    REPORT_HEADER,
-    default_platform,
-    load_platform,
-    main,
-    parse_mask,
-    save_platform,
-)
+from arsc.cli import REPORT_HEADER, main, parse_mask
 from arsc.dct import GrayImage
 from arsc.pgm import read_pgm, write_pgm
+from arsc.platform_model import (
+    PlatformConfig,
+    default_platform,
+    load_platform,
+    save_platform,
+)
 
 ROWS_CSV = (
     "bitwidth,freq_mhz,power_w,latency_s\n"
@@ -108,6 +108,12 @@ class TestSweep:
         for hi, lo in zip(lat, lat[1:]):
             assert 1.7 < hi / lo < 2.0
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "0", "-7.19"])
+    def test_bad_target_usage_error(self, small_image, target):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--in", str(small_image), "--target", target])
+        assert exc.value.code == 2
+
 
 class TestAging:
     def test_endpoints(self, tmp_path):
@@ -134,6 +140,39 @@ class TestAging:
     def test_years_beyond_schedule(self):
         assert main(["aging", "--target", "7.19", "--years", "12"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--years", "-3"], ["--target", "nan"]])
+    def test_bad_value_usage_error(self, tmp_path, flags):
+        rep = tmp_path / "aging.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["aging", *flags, "--report", str(rep)])
+        assert exc.value.code == 2
+        assert not rep.exists()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            ("cycle_model", "c_sc_cycles"),
+            ("power_model", "p_dyn_w_per_mhz"),
+            ("base_freq_mhz",),
+            ("aging_anchors_years_mhz", 1, 1),
+            ("parallelism",),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_platform_refused(self, tmp_path, capsys, field, value):
+        path = tmp_path / "p.json"
+        save_platform(default_platform(), path)
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        path.write_text(json.dumps(doc))
+        assert main(["aging", "--platform", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestVerifyMul:
     def test_small_sweep_passes(self, tmp_path, capsys):
@@ -156,6 +195,25 @@ class TestVerifyMul:
         with pytest.raises(SystemExit) as exc:
             main(["verify-mul", "--max-n", "11"])
         assert exc.value.code == 2
+
+    def test_seed_accepted(self):
+        assert main(["verify-mul", "--max-n", "4", "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aging", "--seed", "3"],
+        ["sweep", "--in", "in.pgm", "--seed", "3"],
+        ["compress", "--in", "in.pgm", "--out", "out.pgm", "--seed", "3"],
+        ["calibrate", "--rows", "rows.csv", "--out", "p.json", "--seed", "3"],
+        ["calibrate", "--rows", "rows.csv", "--out", "p.json", "--report", "r.csv"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 class TestCalibrate:
@@ -212,6 +270,25 @@ class TestCalibrate:
         rc = main(["sweep", "--in", str(small_image), "--platform", str(path),
                    "--target", "7.19"])
         assert rc == 0
+
+    def test_published_rows_match_bundled_defaults(self, tmp_path):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(ROWS_CSV)
+        cfg_path = tmp_path / "platform.json"
+        assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 0
+        got, want = load_platform(cfg_path), default_platform()
+        for f in fields(PlatformConfig):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    @pytest.mark.parametrize(
+        "row", ["6,7.1,0.077,nan", "6,7.1,nan,0.012", "6,inf,0.077,0.012", "6,7.1,0,0.012"]
+    )
+    def test_non_finite_or_zero_row_refused(self, tmp_path, row):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(ROWS_CSV.rsplit("6,7.1", 1)[0] + row + "\n")
+        cfg_path = tmp_path / "p.json"
+        assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 1
+        assert not cfg_path.exists()
 
     def test_malformed_config(self, tmp_path, small_image):
         path = tmp_path / "p.json"

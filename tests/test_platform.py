@@ -256,3 +256,20 @@ class TestModelShape:
             CycleModel(1.0, -5.0)
         with pytest.raises(ValueError):
             PowerModel(0.1, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        for make in (
+            lambda: CycleModel(bad, 0.0),
+            lambda: CycleModel(1.0, bad),
+            lambda: PowerModel(bad, 0.1),
+            lambda: PowerModel(0.1, bad),
+            lambda: AgingSchedule(((0.0, 85.7), (bad, 75.7))),
+            lambda: AgingSchedule(((0.0, 85.7), (10.0, bad))),
+        ):
+            with pytest.raises(ValueError):
+                make()
+        with pytest.raises(CalibrationError):
+            calibrate_cycles(CYCLE_ROWS[:-1] + [(6, 7.1, bad)])
+        with pytest.raises(CalibrationError):
+            calibrate_power(POWER_ROWS[:-1] + [(7.1, bad)])
