@@ -293,6 +293,40 @@ def prefix_ones_array(raw, width: int, count) -> np.ndarray:
     return total
 
 
+def deterministic_streams(width: int) -> np.ndarray:
+    """``sng_deterministic`` of every raw value 0..2**width-1 at once.
+
+    Row x, column c-1 holds the bit emitted at cycle c, as a
+    ``(2**width, 2**width)`` uint8 array built from the placement rule:
+    x_{width-1-ctz(c)}, and 0 on the last cycle, where ctz(c) = width.
+    """
+    size = 1 << width
+    cycle = np.arange(1, size + 1)
+    ctz = np.log2(cycle & -cycle).astype(np.int64)  # exact: cycle & -cycle is 2**ctz
+    raw = np.arange(size)[:, None]
+    bits = (raw >> np.maximum(width - 1 - ctz, 0)) & 1
+    return np.where(ctz < width, bits, 0).astype(np.uint8)
+
+
+def conventional_and_counts(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> np.ndarray:
+    """AND-popcounts of two ``sng_conventional`` streams for every operand pair.
+
+    Entry [x, w] of the ``(2**n, 2**n)`` int64 result equals
+    ``stream_to_binary(and_multiply(sng_conventional(x, 2**n, cfg_x),
+    sng_conventional(w, 2**n, cfg_w)))``, i.e. #{i : sx_i < x and sw_i < w}
+    over the first 2**n states of each LFSR. It is the 2D prefix sum of the
+    occupancy grid of (sx_i, sw_i), shifted by one so the bounds are strict.
+    """
+    if cfg_x.width != cfg_w.width:
+        raise ValueError(f"LFSR widths differ: {cfg_x.width} vs {cfg_w.width}")
+    size = 1 << cfg_x.width
+    sx = np.fromiter(lfsr_states(cfg_x, size), dtype=np.int64, count=size)
+    sw = np.fromiter(lfsr_states(cfg_w, size), dtype=np.int64, count=size)
+    grid = np.bincount((sx + 1) * (size + 1) + sw + 1, minlength=(size + 1) ** 2)
+    grid = grid.reshape(size + 1, size + 1).cumsum(axis=0).cumsum(axis=1)
+    return grid[:size, :size]
+
+
 class CbscResult(NamedTuple):
     product: int
     cycles: int

@@ -1,12 +1,15 @@
 """Command-line interface: all five commands plus their failure modes."""
 
+import hashlib
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arsc.cli import REPORT_HEADER, main, parse_mask
+import arsc.cli
+from arsc.cli import REPORT_HEADER, VERIFY_HEADER, _fold_seed, main, parse_mask
 from arsc.dct import GrayImage
 from arsc.pgm import read_pgm, write_pgm
 from arsc.platform_model import (
@@ -15,6 +18,19 @@ from arsc.platform_model import (
     load_platform,
     save_platform,
 )
+from arsc.sc_core import (
+    ALTERNATE_TAPS,
+    LfsrConfig,
+    UnsignedFixed,
+    and_multiply,
+    cbsc_multiply,
+    sng_conventional,
+    sng_deterministic,
+    stream_to_binary,
+    unary_gen,
+)
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 ROWS_CSV = (
     "bitwidth,freq_mhz,power_w,latency_s\n"
@@ -108,6 +124,18 @@ class TestSweep:
         for hi, lo in zip(lat, lat[1:]):
             assert 1.7 < hi / lo < 2.0
 
+    @pytest.mark.parametrize("target,warned", [("7.19", []), ("100", [10, 9, 8, 7, 6])])
+    def test_unreachable_clock_warns(self, tmp_path, small_image, capsys, target, warned):
+        rep = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--in", str(small_image), "--target", target,
+                   "--report", str(rep)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == rep.read_text()
+        err = captured.err.splitlines()
+        assert [int(ln.split()[1].split("-")[0]) for ln in err] == warned
+        assert all(ln.startswith("warning: ") and "85.7000 MHz base clock" in ln for ln in err)
+
     @pytest.mark.parametrize("target", ["nan", "inf", "0", "-7.19"])
     def test_bad_target_usage_error(self, small_image, target):
         with pytest.raises(SystemExit) as exc:
@@ -139,6 +167,14 @@ class TestAging:
 
     def test_years_beyond_schedule(self):
         assert main(["aging", "--target", "7.19", "--years", "12"]) == 1
+
+    def test_years_beyond_schedule_print_nothing(self, tmp_path, capsys):
+        rep = tmp_path / "aging.csv"
+        assert main(["aging", "--years", "12", "--report", str(rep)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: year 11.0 outside schedule span [0.0, 10.0]\n"
+        assert not rep.exists()
 
     @pytest.mark.parametrize("flags", [["--years", "-3"], ["--target", "nan"]])
     def test_bad_value_usage_error(self, tmp_path, flags):
@@ -198,6 +234,84 @@ class TestVerifyMul:
 
     def test_seed_accepted(self):
         assert main(["verify-mul", "--max-n", "4", "--seed", "3"]) == 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_scalar_gate_level_loop(self, tmp_path, capsys, seed):
+        rep = tmp_path / "v.csv"
+        assert main(["verify-mul", "--max-n", "7", "--seed", str(seed),
+                     "--report", str(rep)]) == 0
+        want_out, want_report = _scalar_verify(7, seed)
+        assert capsys.readouterr().out == want_out
+        assert rep.read_text() == want_report
+
+    def test_identity_violation_detected(self, tmp_path, capsys, monkeypatch):
+        real = arsc.cli.prefix_ones_array
+
+        def perturbed(raw, width, count):
+            out = real(raw, width, count)
+            if width == 4:
+                out[5, 9] += 1
+            return out
+
+        monkeypatch.setattr(arsc.cli, "prefix_ones_array", perturbed)
+        rep = tmp_path / "v.csv"
+        assert main(["verify-mul", "--max-n", "5", "--report", str(rep)]) == 1
+        captured = capsys.readouterr()
+        identity = [ln.split()[2] for ln in captured.out.splitlines()]
+        assert identity == ["identity=ok", "identity=VIOLATED", "identity=ok"]
+        assert [r.split(",")[2] for r in rep.read_text().splitlines()[1:]] == ["yes", "no", "yes"]
+        assert captured.err == "error: 1 identity violations\n"
+
+    def test_full_width_matches_golden(self, tmp_path):
+        golden = json.loads(GOLDEN.read_text())["verify-mul"]
+        rep = tmp_path / "verify.csv"
+        assert main(["verify-mul", "--max-n", "10", "--seed", "1", "--report", str(rep)]) == 0
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == golden["default_seed"]["verify.csv"]
+        got = {r[0]: {"cbsc_max_abs_err": r[3], "cbsc_mean_abs_err": r[4]}
+               for r in (ln.split(",") for ln in rep.read_text().splitlines()[1:])}
+        assert got == golden["rows"]
+
+
+def _scalar_verify(max_n, seed):
+    """Gate-level verify-mul, one BitStream pair at a time: (stdout, report)."""
+    out, rows = [], [VERIFY_HEADER]
+    for n in range(3, max_n + 1):
+        size = 1 << n
+        pairs = 0
+        identity_ok = True
+        cbsc_errs = []
+        for x in range(size):
+            xv = UnsignedFixed(n, x)
+            stream = sng_deterministic(xv)
+            for w in range(size + 1):
+                gate = stream_to_binary(and_multiply(stream, unary_gen(w, size)))
+                product, _ = cbsc_multiply(xv, w)
+                identity_ok &= product == gate
+                cbsc_errs.append(abs(product / size - (x * w) / (size * size)))
+                pairs += 1
+
+        cfg_x = LfsrConfig(n, seed=_fold_seed(seed, n))
+        cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=_fold_seed(seed ^ 0x5A5A5A, n))
+        sx = [sng_conventional(UnsignedFixed(n, x), size, cfg_x) for x in range(size)]
+        sw = [sng_conventional(UnsignedFixed(n, w), size, cfg_w) for w in range(size)]
+        conv_errs = []
+        for x in range(size):
+            for w in range(size):
+                approx = stream_to_binary(and_multiply(sx[x], sw[w])) / size
+                conv_errs.append(abs(approx - (x * w) / (size * size)))
+
+        cbsc_max = max(cbsc_errs)
+        cbsc_mean = float(np.mean(cbsc_errs))
+        conv_mean = float(np.mean(conv_errs))
+        rows.append(f"{n},{pairs},{'yes' if identity_ok else 'no'},{cbsc_max:.8f},"
+                    f"{cbsc_mean:.8f},{conv_mean:.8f}")
+        out.append(
+            f"n={n}: pairs={pairs} identity={'ok' if identity_ok else 'VIOLATED'} "
+            f"cbsc_max_err={cbsc_max:.6f} cbsc_mean_err={cbsc_mean:.6f} "
+            f"conv_mean_err={conv_mean:.6f} "
+            f"(cbsc<=conv: {'yes' if cbsc_mean <= conv_mean else 'no'})"
+        )
+    return "\n".join(out) + "\n", "\n".join(rows) + "\n"
 
 
 @pytest.mark.parametrize(

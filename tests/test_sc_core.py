@@ -14,6 +14,8 @@ from arsc.sc_core import (
     UnsignedFixed,
     and_multiply,
     cbsc_multiply,
+    conventional_and_counts,
+    deterministic_streams,
     lfsr_states,
     lfsr_step,
     mux_add,
@@ -271,3 +273,30 @@ class TestCbscMultiply:
         got = prefix_ones_array(np.arange(size)[:, None], n, np.arange(size + 1)[None, :])
         want = [[prefix_ones(x, n, w) for w in range(size + 1)] for x in range(size)]
         assert got.tolist() == want
+
+
+class TestArrayBuilders:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_deterministic_streams_match_scalar(self, n):
+        streams = deterministic_streams(n)
+        assert streams.shape == (1 << n, 1 << n)
+        for x, row in enumerate(streams):
+            word = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            assert word == sng_deterministic(UnsignedFixed(n, x)).word, (n, x)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("seed", [1, 2, 1000])
+    def test_conventional_counts_match_scalar(self, n, seed):
+        size = 1 << n
+        # fold the seed into each register's nonzero range as verify-mul does;
+        # seeds 2 and 1000 start both generators away from seed 1's states
+        cfg_x = LfsrConfig(n, seed=(seed - 1) % (size - 1) + 1)
+        cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=((seed ^ 0x5A5A5A) - 1) % (size - 1) + 1)
+        sx = [sng_conventional(UnsignedFixed(n, x), size, cfg_x) for x in range(size)]
+        sw = [sng_conventional(UnsignedFixed(n, w), size, cfg_w) for w in range(size)]
+        want = [[stream_to_binary(and_multiply(a, b)) for b in sw] for a in sx]
+        assert conventional_and_counts(cfg_x, cfg_w).tolist() == want
+
+    def test_conventional_counts_width_mismatch(self):
+        with pytest.raises(ValueError):
+            conventional_and_counts(LfsrConfig(4), LfsrConfig(5))
