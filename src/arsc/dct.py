@@ -1,9 +1,11 @@
 """8-point DCT/IDCT image pipeline on the reconfigurable MAC.
 
 The fixed-point path reproduces the sign-magnitude MAC unit (mac.mac)
-bit for bit, batched over whole images through per-bit-width tables of
-counter-based products; a float64 path with the same separable
-structure serves as the accuracy reference. Every 1D stage output is
+bit for bit, batched over whole images: each 1D stage gathers one
+16-byte row of eight counter-based products per sample and lane, sums
+the rows in int16 and finishes every sum with one saturation-table
+lookup. A float64 path with the same separable structure, one GEMM per
+matrix product, serves as the accuracy reference. Every 1D stage output is
 scaled by 1/4 before buffering (and re-amplified by 4 in the inverse
 stages) so that all multiplier operands stay inside [0, 1); the net
 forward+inverse gain is exactly 1.
@@ -138,13 +140,17 @@ class Block8x8:
 class FrequencyMask:
     """Binary 8x8 frequency-domain mask: 1 keeps a coefficient, 0 zeroes it."""
 
-    m: np.ndarray
+    m: np.ndarray  # (8, 8) read-only int16; given as any numbers equal to 0 or 1
 
     def __post_init__(self):
-        if self.m.shape != (N, N):
-            raise ValueError(f"mask must be 8x8, got {self.m.shape}")
-        if not np.all((self.m == 0) | (self.m == 1)):
+        m = np.asarray(self.m)
+        if m.shape != (N, N):
+            raise ValueError(f"mask must be 8x8, got {m.shape}")
+        if m.dtype.kind not in "biuf" or not np.all((m == 0) | (m == 1)):
             raise ValueError("mask entries must be 0 or 1")
+        m = m.astype(np.int16)
+        m.setflags(write=False)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def allpass(cls) -> "FrequencyMask":
@@ -161,7 +167,7 @@ class FrequencyMask:
 
     @classmethod
     def from_array(cls, a) -> "FrequencyMask":
-        return cls(np.asarray(a, dtype=np.int64))
+        return cls(np.asarray(a))
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyMask):
@@ -217,43 +223,46 @@ CHUNK_BLOCKS = 256  # blocks per batch; bounds every temporary at ~100 KB
 
 
 @lru_cache(maxsize=None)
-def _product_tables(b: int, inverse: bool) -> np.ndarray:
-    """Signed MAC lane products of one transform direction at width b.
+def _product_tables(b: int, inverse: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """Product rows, saturation table and clamp bounds of one direction at width b.
 
-    Entry [i, sv, k] is sign(sv) * csign[k, i] * prefix_ones(|sv|, b,
-    w[k, i]) for a signed b-bit sample sv in (-2**b, 2**b); negative sv
-    index from the end, as in Python. The inverse uses the transposed
-    coefficients. Every entry is at most 2**b in magnitude, so int16.
+    Row sv + 2**b - 1 of lane i is one 16-byte complex128 scalar holding the
+    eight int16 products sign(sv) * csign[k, i] * prefix_ones(|sv|, b, w[k, i])
+    of a signed b-bit sample sv (transposed coefficients if inverse). Entry
+    acc + 8 * 2**b of the saturation table is |acc| >> 2 (<< 2 if inverse),
+    clamped to 2**b - 1, signed as acc; the bounds are its unclamped span.
     """
     csigns, weights = _coeff_arrays(b)
     if inverse:
         csigns, weights = csigns.T, weights.T
     mags = np.arange(1 << b)[None, :, None]
     prod = prefix_ones_array(mags, b, weights.T[:, None, :]) * csigns.T[:, None, :]
-    table = np.concatenate([prod, -prod[:, :0:-1]], axis=1).astype(np.int16)
-    table.setflags(write=False)
-    return table
+    rows = np.concatenate([-prod[:, :0:-1], prod], axis=1).astype(np.int16).view(np.complex128)
+    acc = np.arange(-N << b, (N << b) + 1)
+    mag = np.abs(acc) << INTER_STAGE_SHIFT if inverse else np.abs(acc) >> INTER_STAGE_SHIFT
+    post = (np.sign(acc) * np.minimum(mag, (1 << b) - 1)).astype(np.int16)
+    rows.setflags(write=False)
+    post.setflags(write=False)
+    return rows, post, tuple(np.flatnonzero(mag < 1 << b)[[0, -1]].tolist())
 
 
-def _stage(x: np.ndarray, table: np.ndarray, shift: int, b: int):
+def _stage(x: np.ndarray, b: int, inverse: bool):
     """One 1D MAC stage over axis 1 of (B, 8, 8) signed b-bit samples.
 
-    Bit-identical to eight mac() calls per input vector. Output k of the
-    vector x[n, :, j] lands at [n, j, k], so two stages make a 2D
-    transform. Returns (samples, clamp count).
+    Bit-identical to eight mac() calls per input vector: lane i gathers the
+    product row of each x[n, i, j], the rows sum exactly in int16 (|sum| <=
+    8 * 2**b <= 8192), and one saturation-table lookup finishes each sum.
+    Output k of the vector x[n, :, j] lands at [n, j, k], so two stages make
+    a 2D transform. Returns (samples, clamp count).
     """
-    acc = table[0][x[:, 0]].astype(np.int32)
+    rows, post, (lo, hi) = _product_tables(b, inverse)
+    idx = x + ((1 << b) - 1)
+    acc = np.take(rows[0], idx[:, 0]).view(np.int16)
     for i in range(1, N):
-        acc += table[i][x[:, i]]
-    mag = np.abs(acc)
-    if shift >= 0:
-        mag >>= shift
-    else:
-        mag <<= -shift
-    top = (1 << b) - 1
-    clamps = int(np.count_nonzero(mag > top))
-    np.minimum(mag, top, out=mag)
-    return np.where(acc < 0, -mag, mag), clamps
+        acc += np.take(rows[i], idx[:, i]).view(np.int16)
+    acc += N << b
+    clamps = int(np.count_nonzero(acc < lo) + np.count_nonzero(acc > hi))
+    return np.take(post, acc).reshape(x.shape), clamps
 
 
 def _transform2d(x: np.ndarray, b: int, inverse: bool):
@@ -263,14 +272,9 @@ def _transform2d(x: np.ndarray, b: int, inverse: bool):
     uses the transposed table, amplifies by 4 and mirrors the pass order.
     Returns (samples, clamp count).
     """
-    table = _product_tables(b, inverse)
-    if not inverse:
-        y, c1 = _stage(x, table, INTER_STAGE_SHIFT, b)
-        z, c2 = _stage(y, table, INTER_STAGE_SHIFT, b)
-        return z, c1 + c2
-    y, c1 = _stage(x.swapaxes(1, 2), table, -INTER_STAGE_SHIFT, b)
-    z, c2 = _stage(y, table, -INTER_STAGE_SHIFT, b)
-    return z.swapaxes(1, 2), c1 + c2
+    y, c1 = _stage(x.swapaxes(1, 2) if inverse else x, b, inverse)
+    z, c2 = _stage(y, b, inverse)
+    return (z.swapaxes(1, 2) if inverse else z), c1 + c2
 
 
 def _block_transform(block: Block8x8, sel: AccuracySelect, inverse: bool):
@@ -307,8 +311,8 @@ class GrayImage:
     @classmethod
     def from_array(cls, a) -> "GrayImage":
         a = np.asarray(a)
-        if a.size and (a.min() < 0 or a.max() > 255):
-            raise ValueError("pixel values must lie in 0..255")
+        if a.dtype.kind not in "biuf" or not np.isin(a, np.arange(256)).all():
+            raise ValueError("pixel values must be whole numbers in 0..255")
         return cls(a.astype(np.uint8))
 
     @property
@@ -329,11 +333,11 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     """Peak signal-to-noise ratio in dB; identical images report inf."""
     if a.pixels.shape != b.pixels.shape:
         raise ValueError(f"dimension mismatch: {a.pixels.shape} vs {b.pixels.shape}")
-    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
+    d = (np.maximum(a.pixels, b.pixels) - np.minimum(a.pixels, b.pixels)).astype(np.uint16)
+    sse = int(np.sum(d * d, dtype=np.uint64))  # d * d <= 255**2: exact in uint16
+    if sse == 0:
         return math.inf
-    return 10.0 * math.log10(255.0 * 255.0 / mse)
+    return 10.0 * math.log10(255.0 * 255.0 / (sse / d.size))
 
 
 @dataclass(frozen=True)
@@ -364,23 +368,25 @@ def _from_blocks(blocks: np.ndarray, img: GrayImage) -> GrayImage:
 
 def _fixed_chunk(pixels: np.ndarray, b: int, mask: FrequencyMask):
     # a pixel p is the 10-bit sample p << PIXEL_SHIFT, truncated to b bits
-    x = (pixels.astype(np.int32) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
+    x = (pixels.astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
     f, c1 = _transform2d(x, b, inverse=False)
     v, c2 = _transform2d(apply_mask(f, mask), b, inverse=True)
     # raw units are 1/1024 of full scale; a pixel step is 4 units. The last
     # inverse stage shifts left by 2, so an unsaturated sample is already a
     # whole pixel step, and a saturated one, +-(2**b - 1), clips to 255 or 0
     # with or without rounding: the shift alone rounds exactly.
-    raws = v << (SAMPLE_WIDTH - b)
-    out = np.clip(raws >> PIXEL_SHIFT, 0, 255)
+    out = np.clip((v << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255)
     return out.astype(np.uint8), c1 + c2
 
 
 def _reference_chunk(pixels: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    x = pixels / 256.0
-    out = idct2d_ref(apply_mask(dct2d_ref(x), mask)) * 256.0
-    rounded = np.sign(out) * np.floor(np.abs(out) + 0.5)
-    return np.clip(rounded, 0, 255).astype(np.uint8)
+    # one GEMM per product over [row, block, column]; p/256 is exact, so left out
+    c = dct_basis()
+    x = np.ascontiguousarray(pixels.transpose(1, 0, 2), dtype=np.float64)
+    f = ((c @ x.reshape(N, -1)).reshape(-1, N) @ c.T).reshape(x.shape) * mask.m[:, None, :]
+    out = ((c.T @ f.reshape(N, -1)).reshape(-1, N) @ c).reshape(x.shape)
+    # negatives clip to 0, so floor(out + 0.5) rounds half away from zero
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8).transpose(1, 0, 2)
 
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:

@@ -10,7 +10,7 @@ import pytest
 
 import arsc.cli
 from arsc.cli import REPORT_HEADER, VERIFY_HEADER, _fold_seed, main, parse_mask
-from arsc.dct import GrayImage
+from arsc.dct import FrequencyMask, GrayImage, reference_pipeline
 from arsc.pgm import read_pgm, write_pgm
 from arsc.platform_model import (
     PlatformConfig,
@@ -18,6 +18,7 @@ from arsc.platform_model import (
     load_platform,
     save_platform,
 )
+from arsc.refimage import reference_image
 from arsc.sc_core import (
     ALTERNATE_TAPS,
     LfsrConfig,
@@ -270,6 +271,54 @@ class TestVerifyMul:
         got = {r[0]: {"cbsc_max_abs_err": r[3], "cbsc_mean_abs_err": r[4]}
                for r in (ln.split(",") for ln in rep.read_text().splitlines()[1:])}
         assert got == golden["rows"]
+
+
+# the tile transforms of the benchmark's 1024x1024 image, keyed as in golden.json
+TILE_TRANSFORMS = {
+    "identity": lambda a: a,
+    "flip_h": lambda a: a[:, ::-1],
+    "flip_v": lambda a: a[::-1, :],
+    "transpose": lambda a: a.T,
+}
+
+
+def _sse(a, b):
+    d = a.astype(np.int64) - b.astype(np.int64)
+    return int((d * d).sum())
+
+
+class TestImageGolden:
+    """The image commands against the benchmark's golden digests (read-only)."""
+
+    @pytest.fixture
+    def ref_pgm(self, tmp_path):
+        p = tmp_path / "ref256.pgm"
+        write_pgm(reference_image(), p)
+        return p
+
+    @pytest.mark.parametrize("mask", ["lowpass:4", "allpass"])
+    def test_sweep_matches_golden(self, tmp_path, ref_pgm, mask):
+        golden = json.loads(GOLDEN.read_text())["sweep256"][mask]
+        rep = tmp_path / "sweep.csv"
+        assert main(["sweep", "--in", str(ref_pgm), "--mask", mask, "--report", str(rep)]) == 0
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == golden["report_sha256"]
+
+    @pytest.mark.parametrize("transform", sorted(TILE_TRANSFORMS))
+    def test_compress_tile_matches_golden(self, tmp_path, ref_pgm, capsys, transform):
+        golden = json.loads(GOLDEN.read_text())["tile1024"]["tiles"][transform]
+        tile = GrayImage(np.ascontiguousarray(TILE_TRANSFORMS[transform](read_pgm(ref_pgm).pixels)))
+        src, out = tmp_path / "tile.pgm", tmp_path / "out.pgm"
+        write_pgm(tile, src)
+        capsys.readouterr()
+        assert main(["compress", "--in", str(src), "--out", str(out), "--bits", "8",
+                     "--mask", "lowpass:4"]) == 0
+        stats = dict(ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines())
+        got = read_pgm(out).pixels
+        reference = reference_pipeline(tile, FrequencyMask.lowpass(4)).pixels
+        assert hashlib.sha256(got.tobytes()).hexdigest() == golden["sha256"]
+        assert int(stats["clamp_count"]) == golden["clamps"]
+        assert _sse(got, tile.pixels) == golden["sse_input"]
+        assert _sse(got, reference) == golden["sse_reference"]
 
 
 def _scalar_verify(max_n, seed):

@@ -1,6 +1,7 @@
 """Transform pipeline: reference path, quantized tables, fixed-point 2D."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from arsc.dct import (
     INTER_STAGE_SHIFT,
     N,
     SAMPLE_WIDTH,
+    _transform2d,
     apply_mask,
     dct1d_ref,
     dct1d_sc,
@@ -283,6 +285,38 @@ class TestMask:
         with pytest.raises(ValueError):
             FrequencyMask.from_array(np.full((8, 8), 2))
 
+    @pytest.mark.parametrize("value", [0.5, 1.9, -0.0001, np.nan, np.inf])
+    def test_non_integral_entries_refused(self, value):
+        a = np.ones((8, 8))
+        a[3, 5] = value
+        with pytest.raises(ValueError):
+            FrequencyMask.from_array(a)
+        with pytest.raises(ValueError):
+            FrequencyMask(a)
+
+    def test_non_numeric_entries_refused(self):
+        with pytest.raises(ValueError):
+            FrequencyMask(np.full((8, 8), "1"))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, np.uint8, np.int64])
+    def test_integral_entries_stored_as_one_read_only_int_array(self, dtype):
+        given = np.ones((8, 8), dtype=dtype)
+        m = FrequencyMask(given)
+        assert m.m.dtype == np.int16 and not m.m.flags.writeable
+        assert m == FrequencyMask.allpass()
+        given[0, 0] = 0  # the mask keeps its own copy
+        assert m == FrequencyMask.allpass()
+
+    def test_float_mask_runs_the_pipeline(self):
+        # float 0/1 entries must not reach the product-table gathers as floats
+        img = GrayImage(reference_image().pixels[:16, :24].copy())
+        sel = AccuracySelect.from_bitwidth(8)
+        lowpass = np.zeros((8, 8))
+        lowpass[:4, :4] = 1.0
+        got = process_image(img, sel, FrequencyMask(lowpass))
+        want = process_image(img, sel, FrequencyMask.lowpass(4))
+        assert got.output == want.output and got.clamp_count == want.clamp_count
+
     def test_dc_only_mask_on_constant_block_survives(self):
         # a flat block has only DC energy, so keeping DC changes nothing
         c = 0.4
@@ -328,6 +362,43 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(GrayImage(np.zeros((4, 4), dtype=np.uint8)),
                  GrayImage(np.zeros((4, 8), dtype=np.uint8)))
+
+
+def _float_psnr(a, b):
+    """The float64 mean-of-squares formula psnr must reproduce bit for bit."""
+    diff = a.astype(np.float64) - b.astype(np.float64)
+    mse = float(np.mean(diff * diff))
+    return math.inf if mse == 0.0 else 10.0 * math.log10(255.0 * 255.0 / mse)
+
+
+class TestPsnrExactness:
+    def test_random_pairs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 200, size=2))
+            a = rng.integers(0, 256, size=shape).astype(np.uint8)
+            b = a if rng.random() < 0.05 else rng.integers(0, 256, size=shape).astype(np.uint8)
+            if rng.random() < 0.5:  # a small error, as the pipeline makes
+                b = np.clip(a + rng.integers(-3, 4, size=shape), 0, 255).astype(np.uint8)
+            assert psnr(GrayImage(a), GrayImage(b)) == _float_psnr(a, b)
+
+    def test_full_scale_large_image(self):
+        # SSE 2048**2 * 255**2 = 2.7e11: past int32 and uint16 ranges
+        a = np.zeros((2048, 2048), dtype=np.uint8)
+        b = np.full((2048, 2048), 255, dtype=np.uint8)
+        assert psnr(GrayImage(a), GrayImage(b)) == _float_psnr(a, b) == 0.0
+        assert psnr(GrayImage(b), GrayImage(a)) == 0.0
+
+    def test_one_pixel_difference(self):
+        a = np.full((300, 301), 17, dtype=np.uint8)
+        b = a.copy()
+        b[150, 7] = 16
+        assert psnr(GrayImage(a), GrayImage(b)) == _float_psnr(a, b)
+        assert psnr(GrayImage(b), GrayImage(a)) == _float_psnr(b, a)
+
+    def test_identical_images_infinite(self):
+        a = np.random.default_rng(2).integers(0, 256, size=(33, 65)).astype(np.uint8)
+        assert psnr(GrayImage(a), GrayImage(a.copy())) == math.inf == _float_psnr(a, a)
 
 
 class TestProcessImage:
@@ -472,6 +543,51 @@ class TestBatchedEngineOracle:
             assert np.array_equal(got.pixels, want[:h, :w])
 
 
+def _mac_transform2d(block, b, inverse):
+    """_transform2d of one block on the scalar MAC: dct1d_sc over columns then
+    rows, or idct1d_sc over rows then columns; signed b-bit raws in and out."""
+    sel = AccuracySelect.from_bitwidth(b)
+    one_d = idct1d_sc if inverse else dct1d_sc
+    s = [[sm(1 if v >= 0 else -1, abs(int(v)), b) for v in row] for row in block]
+    if inverse:
+        s = [list(col) for col in zip(*s)]
+    first = [one_d([s[i][j] for i in range(N)], sel)[0] for j in range(N)]  # [j][k]
+    second = [one_d([first[j][k] for j in range(N)], sel)[0] for k in range(N)]  # [k][l]
+    out = np.array([[v.sign * v.mag.raw for v in row] for row in second])
+    return out.T if inverse else out
+
+
+class TestStageKernelOracle:
+    """The row-gather stage kernel against per-vector mac() calls."""
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("bits", [10, 9, 8, 7, 6])
+    def test_matches_scalar_mac(self, bits, inverse, monkeypatch):
+        clamps = []
+
+        def counting_mac(*args, **kwargs):
+            r = mac(*args, **kwargs)
+            clamps.append(r.clamped)
+            return r
+
+        monkeypatch.setattr(arsc.dct, "mac", counting_mac)
+        top = (1 << bits) - 1
+        rng = np.random.default_rng(100 * bits + inverse)
+        x = rng.integers(-top, top + 1, size=(5, N, N))
+        x[0] = top  # full-scale corners of the sample range
+        x[1] = -top
+        x[2, :, ::2] = -top
+        x[2, :, 1::2] = top
+        got, got_clamps = _transform2d(x.astype(np.int16), bits, inverse)
+        want = np.stack([_mac_transform2d(blk, bits, inverse) for blk in x])
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want)
+        assert got_clamps == sum(clamps)
+        if inverse:  # saturation at both ends of the table
+            assert got_clamps > 0
+            assert (got == top).any() and (got == -top).any()
+
+
 class TestGrayImage:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -480,6 +596,19 @@ class TestGrayImage:
     def test_range_checked(self):
         with pytest.raises(ValueError):
             GrayImage.from_array([[0, 300]])
+
+    @pytest.mark.parametrize("bad", [[[np.nan]], [[1.7]], [[254.5, 3]], [[np.inf]],
+                                     [[-1.0]], [["7"]]])
+    def test_non_integral_pixels_refused(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                GrayImage.from_array(bad)
+
+    def test_whole_number_floats_accepted(self):
+        img = GrayImage.from_array([[0.0, 1.0, 255.0]])
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.tolist() == [[0, 1, 255]]
 
     def test_reference_image_shape(self):
         img = reference_image()
