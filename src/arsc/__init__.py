@@ -30,17 +30,14 @@ from .mac import (
     truncate,
 )
 from .dct import (
-    Block8x8,
     FrequencyMask,
     GrayImage,
     PipelineReport,
     apply_mask,
     dct1d_ref,
     dct1d_sc,
-    dct2d,
     idct1d_ref,
     idct1d_sc,
-    idct2d,
     process_image,
     psnr,
     quantize_coefficients,

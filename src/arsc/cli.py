@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dct import FrequencyMask, process_image
+from .dct import N, FrequencyMask, process_image
 from .mac import AccuracySelect, BITWIDTHS
 from .pgm import read_pgm, write_pgm
 from .platform_model import (
@@ -54,18 +54,29 @@ def parse_mask(spec: str) -> FrequencyMask:
     if spec == "allpass":
         return FrequencyMask.allpass()
     if spec.startswith("lowpass:"):
-        return FrequencyMask.lowpass(int(spec.split(":", 1)[1]))
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"mask spec {spec!r}: lowpass corner must be an integer") from None
+        return FrequencyMask.lowpass(k)
     if spec == "lowpass":
         return FrequencyMask.lowpass()
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         rows = []
-        for line in Path(path).read_text().splitlines():
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             cells = line.split() if " " in line else list(line)
+            where = f"mask file {path} line {lineno}"
+            if len(cells) != N:
+                raise ValueError(f"{where}: {len(cells)} entries, expected {N}")
+            if not all(c in ("0", "1") for c in cells):
+                raise ValueError(f"{where}: entries must be 0 or 1, got {' '.join(cells)}")
             rows.append([int(c) for c in cells])
+        if len(rows) != N:
+            raise ValueError(f"mask file {path}: {len(rows)} rows, expected {N}")
         return FrequencyMask.from_array(rows)
     raise ValueError(f"unknown mask spec {spec!r} (allpass, lowpass:K, file:PATH)")
 

@@ -92,51 +92,6 @@ def quantize_coefficients(b: int) -> list[list[SignMagnitude]]:
 
 
 @dataclass(frozen=True, eq=False)
-class Block8x8:
-    """8x8 grid of sign-magnitude samples, stored as parallel arrays."""
-
-    signs: np.ndarray  # (8, 8) int64, entries +1/-1
-    raws: np.ndarray   # (8, 8) int64 magnitudes, < 2**width
-    width: int = SAMPLE_WIDTH
-
-    def __post_init__(self):
-        for name, a in (("signs", self.signs), ("raws", self.raws)):
-            if a.shape != (N, N):
-                raise ValueError(f"{name} must be 8x8, got {a.shape}")
-        if not np.all(np.abs(self.signs) == 1):
-            raise ValueError("signs must be +1/-1")
-        if np.any(self.raws < 0) or np.any(self.raws >= (1 << self.width)):
-            raise ValueError(f"magnitudes out of range for width {self.width}")
-
-    @classmethod
-    def zero(cls, width: int = SAMPLE_WIDTH) -> "Block8x8":
-        return cls(np.ones((N, N), dtype=np.int64), np.zeros((N, N), dtype=np.int64), width)
-
-    @classmethod
-    def from_samples(cls, samples) -> "Block8x8":
-        """Build from an 8x8 nested sequence of SignMagnitude values."""
-        width = samples[0][0].width
-        signs = np.array([[s.sign for s in row] for row in samples], dtype=np.int64)
-        raws = np.array([[s.mag.raw for s in row] for row in samples], dtype=np.int64)
-        return cls(signs, raws, width)
-
-    def sample(self, r: int, c: int) -> SignMagnitude:
-        return SignMagnitude(int(self.signs[r, c]), UnsignedFixed(self.width, int(self.raws[r, c])))
-
-    def values(self) -> np.ndarray:
-        """Represented real values as a float64 array."""
-        return self.signs * self.raws / float(1 << self.width)
-
-    def __eq__(self, other):
-        if not isinstance(other, Block8x8):
-            return NotImplemented
-        if self.width != other.width or not np.array_equal(self.raws, other.raws):
-            return False
-        nonzero = self.raws != 0
-        return bool(np.all(self.signs[nonzero] == other.signs[nonzero]))
-
-
-@dataclass(frozen=True, eq=False)
 class FrequencyMask:
     """Binary 8x8 frequency-domain mask: 1 keeps a coefficient, 0 zeroes it."""
 
@@ -176,15 +131,8 @@ class FrequencyMask:
 
 
 def apply_mask(block, mask: FrequencyMask):
-    """Elementwise product with the mask.
-
-    Accepts a fixed-point Block8x8, or an array of one or more 8x8
-    blocks: signed samples (fixed-point batches) or floats (reference).
-    """
-    if isinstance(block, Block8x8):
-        raws = block.raws * mask.m
-        signs = np.where(mask.m == 0, 1, block.signs)
-        return Block8x8(signs, raws, block.width)
+    """Elementwise product with the mask over an array of one or more 8x8
+    blocks: signed samples (fixed-point batches) or floats (reference)."""
     return np.asarray(block) * mask.m
 
 
@@ -275,25 +223,6 @@ def _transform2d(x: np.ndarray, b: int, inverse: bool):
     y, c1 = _stage(x.swapaxes(1, 2) if inverse else x, b, inverse)
     z, c2 = _stage(y, b, inverse)
     return (z.swapaxes(1, 2) if inverse else z), c1 + c2
-
-
-def _block_transform(block: Block8x8, sel: AccuracySelect, inverse: bool):
-    b = sel.bitwidth
-    drop = block.width - b
-    v, _ = _transform2d((block.signs * (block.raws >> drop))[None], b, inverse)
-    v = v[0].astype(np.int64)
-    out = Block8x8(np.where(v < 0, -1, 1), np.abs(v) << drop, block.width)
-    return out, _TRANSFORM_SLOTS << b
-
-
-def dct2d(block: Block8x8, sel: AccuracySelect):
-    """Separable forward 2D transform: columns first, then rows."""
-    return _block_transform(block, sel, inverse=False)
-
-
-def idct2d(block: Block8x8, sel: AccuracySelect):
-    """Separable inverse 2D transform: rows first, then columns."""
-    return _block_transform(block, sel, inverse=True)
 
 
 @dataclass(frozen=True, eq=False)

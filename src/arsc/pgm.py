@@ -8,6 +8,7 @@ import numpy as np
 
 from .dct import GrayImage
 
+# one-byte slices only: b"" is in every bytes object, so callers check pos first
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
@@ -20,7 +21,7 @@ def read_pgm(path) -> GrayImage:
         nonlocal pos
         while pos < len(data):
             c = data[pos : pos + 1]
-            if c in (b"\r", b"\n", b" ", b"\t", b"\x0b", b"\x0c"):
+            if c in _WHITESPACE:
                 pos += 1
             elif c == b"#":
                 while pos < len(data) and data[pos : pos + 1] not in (b"\r", b"\n"):
@@ -30,9 +31,7 @@ def read_pgm(path) -> GrayImage:
         if pos >= len(data):
             raise ValueError(f"truncated PGM header at byte {pos}")
         start = pos
-        while pos < len(data) and data[pos : pos + 1] not in (
-            b"\r", b"\n", b" ", b"\t", b"\x0b", b"\x0c",
-        ):
+        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
             pos += 1
         return data[start:pos]
 
@@ -54,9 +53,7 @@ def read_pgm(path) -> GrayImage:
         raise ValueError(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise ValueError(f"unsupported maxval {maxval} (only 255)")
-    if pos >= len(data) or data[pos : pos + 1] not in (
-        b"\r", b"\n", b" ", b"\t", b"\x0b", b"\x0c",
-    ):
+    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
         raise ValueError(f"missing whitespace after header at byte {pos}")
     pos += 1  # exactly one whitespace byte before the raster
 

@@ -160,6 +160,9 @@ def calibrate_cycles(rows: Sequence[tuple[int, float, float]]) -> CycleModel:
     if len(rows) < 2:
         raise CalibrationError("need at least two calibration rows")
     bits = [int(r[0]) for r in rows]
+    bad = [b for b in bits if b not in BITWIDTHS]
+    if bad:
+        raise CalibrationError(f"bit-widths {bad} not in {BITWIDTHS}")
     if len(set(bits)) != len(bits):
         raise CalibrationError("calibration rows must have distinct bit-widths")
     base_freq = _base_freq(rows)

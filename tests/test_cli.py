@@ -412,6 +412,19 @@ class TestCalibrate:
         assert doc["cycle_model"]["c_sc_cycles"] == pytest.approx(c_sc, rel=1e-9)
         assert doc["power_model"]["p_dyn_w_per_mhz"] == pytest.approx(0.002, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", ["99", "-1"])
+    def test_bitwidth_outside_pipeline_refused(self, tmp_path, capsys, bad):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"bitwidth,freq_mhz,power_w,latency_s\n{bad},85.7,0.292,0.139\n"
+                        "9,43.8,0.177,0.071\n")
+        cfg_path = tmp_path / "p.json"
+        assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("calibration error: ")
+        assert captured.err.count("\n") == 1
+        assert not cfg_path.exists()
+
     def test_single_row_fails(self, tmp_path):
         rows = tmp_path / "rows.csv"
         rows.write_text("bitwidth,freq_mhz,power_w,latency_s\n10,85.7,0.292,0.139\n")
@@ -481,3 +494,34 @@ class TestMaskParsing:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             parse_mask("bandpass")
+
+    @pytest.mark.parametrize(
+        "text,spec,message",
+        [
+            ("11111111\n11\n", "file", "line 2: 2 entries, expected 8"),
+            ("1x111111\n", "file", "line 1: entries must be 0 or 1"),
+            (None, "lowpass:x", "mask spec 'lowpass:x': lowpass corner must be an integer"),
+        ],
+        ids=["ragged", "non-digit", "lowpass-x"],
+    )
+    def test_bad_spec_is_one_error_line(self, tmp_path, small_image, capsys, text, spec,
+                                        message):
+        if text is not None:
+            mask = tmp_path / "m.txt"
+            mask.write_text(text)
+            spec = f"file:{mask}"
+            message = f"mask file {mask} {message}"
+        out = tmp_path / "out.pgm"
+        rc = main(["compress", "--in", str(small_image), "--out", str(out), "--mask", spec])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_file_mask_row_count(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("11111111\n" * 7)
+        with pytest.raises(ValueError, match=r"m.txt: 7 rows, expected 8"):
+            parse_mask(f"file:{p}")

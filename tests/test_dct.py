@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import arsc.dct
 from arsc.dct import (
     DEFAULT_PARALLELISM,
-    Block8x8,
     FrequencyMask,
     GrayImage,
     INTER_STAGE_SHIFT,
@@ -22,12 +21,10 @@ from arsc.dct import (
     apply_mask,
     dct1d_ref,
     dct1d_sc,
-    dct2d,
     dct2d_ref,
     dct_basis,
     idct1d_ref,
     idct1d_sc,
-    idct2d,
     idct2d_ref,
     process_image,
     psnr,
@@ -182,57 +179,6 @@ class TestFixed1d:
 
 
 class TestFixed2d:
-    def test_zero_block(self):
-        sel = AccuracySelect.from_bitwidth(8)
-        out, cycles = dct2d(Block8x8.zero(), sel)
-        assert np.all(out.raws == 0)
-        assert cycles == 1024 * (1 << 8)
-
-    def test_matches_composed_1d(self):
-        # the vectorized block transform must equal MAC-by-MAC 1D calls
-        rng = np.random.default_rng(21)
-        for b in (10, 8, 6):
-            sel = AccuracySelect.from_bitwidth(b)
-            signs = rng.choice([-1, 1], size=(8, 8)).astype(np.int64)
-            raws = rng.integers(0, 1024, size=(8, 8)).astype(np.int64)
-            blk = Block8x8(signs, raws)
-
-            cols = []
-            for j in range(8):
-                outs, _ = dct1d_sc([blk.sample(i, j) for i in range(8)], sel)
-                cols.append(outs)
-            inter = [[cols[j][k] for j in range(8)] for k in range(8)]  # (k, j)
-            rows = []
-            for k in range(8):
-                outs, _ = dct1d_sc(inter[k], sel)
-                rows.append(outs)  # rows[k][l]
-
-            got, _ = dct2d(blk, sel)
-            for k in range(8):
-                for l in range(8):
-                    assert got.sample(k, l) == rows[k][l], (b, k, l)
-
-    def test_inverse_matches_composed_1d(self):
-        rng = np.random.default_rng(22)
-        sel = AccuracySelect.from_bitwidth(9)
-        signs = rng.choice([-1, 1], size=(8, 8)).astype(np.int64)
-        raws = rng.integers(0, 1024, size=(8, 8)).astype(np.int64)
-        blk = Block8x8(signs, raws)
-
-        rows = []
-        for k in range(8):
-            outs, _ = idct1d_sc([blk.sample(k, j) for j in range(8)], sel)
-            rows.append(outs)  # rows[k][i]
-        cols = []
-        for i in range(8):
-            outs, _ = idct1d_sc([rows[k][i] for k in range(8)], sel)
-            cols.append(outs)  # cols[i][j] over original row index
-
-        got, _ = idct2d(blk, sel)
-        for r in range(8):
-            for c in range(8):
-                assert got.sample(r, c) == cols[c][r], (r, c)
-
     def test_round_trip_psnr_on_random_blocks(self):
         rng = np.random.default_rng(99)
         img = GrayImage(rng.integers(0, 256, size=(64, 64)).astype(np.uint8))
@@ -240,22 +186,22 @@ class TestFixed2d:
         assert rep.psnr_vs_input >= 30.0
 
 
+def _signed_samples(rng):
+    """A (3, 8, 8) int16 batch of signed 10-bit samples, as _fixed_chunk masks."""
+    top = (1 << SAMPLE_WIDTH) - 1
+    return rng.integers(-top, top + 1, size=(3, N, N)).astype(np.int16)
+
+
 class TestMask:
     def test_allpass_identity(self):
-        rng = np.random.default_rng(1)
-        blk = Block8x8(
-            rng.choice([-1, 1], size=(8, 8)).astype(np.int64),
-            rng.integers(0, 1024, size=(8, 8)).astype(np.int64),
-        )
-        assert apply_mask(blk, FrequencyMask.allpass()) == blk
+        x = _signed_samples(np.random.default_rng(1))
+        out = apply_mask(x, FrequencyMask.allpass())
+        assert out.dtype == np.int16 and np.array_equal(out, x)
 
     def test_allzero_mask(self):
-        blk = Block8x8(
-            np.ones((8, 8), dtype=np.int64),
-            np.full((8, 8), 100, dtype=np.int64),
-        )
-        out = apply_mask(blk, FrequencyMask.from_array(np.zeros((8, 8), int)))
-        assert np.all(out.raws == 0)
+        x = np.full((3, 8, 8), 100, dtype=np.int16)
+        out = apply_mask(x, FrequencyMask.from_array(np.zeros((8, 8), int)))
+        assert out.dtype == np.int16 and np.all(out == 0)
 
     def test_lowpass_shape(self):
         m = FrequencyMask.lowpass(4)
@@ -273,13 +219,8 @@ class TestMask:
         m = FrequencyMask.from_array(
             np.array([(mask_bits >> i) & 1 for i in range(64)]).reshape(8, 8)
         )
-        rng = np.random.default_rng(raw_seed)
-        blk = Block8x8(
-            rng.choice([-1, 1], size=(8, 8)).astype(np.int64),
-            rng.integers(0, 1024, size=(8, 8)).astype(np.int64),
-        )
-        once = apply_mask(blk, m)
-        assert apply_mask(once, m) == once
+        once = apply_mask(_signed_samples(np.random.default_rng(raw_seed)), m)
+        assert np.array_equal(apply_mask(once, m), once)
 
     def test_binary_only(self):
         with pytest.raises(ValueError):
@@ -444,10 +385,11 @@ class TestProcessImage:
 
     def test_cycle_accounting(self):
         img = GrayImage(np.zeros((16, 16), dtype=np.uint8))
-        rep = process_image(img, AccuracySelect.from_bitwidth(10), FrequencyMask.allpass())
-        # 4 blocks x (forward + inverse) x 1024 multiplier slots x 2^10,
+        # 4 blocks x (forward + inverse) x 1024 multiplier slots x 2^b,
         # divided by the parallelism factor 8
-        assert rep.total_cycles_fixed == 4 * 2048 * 1024 // 8
+        for b in (10, 8):
+            rep = process_image(img, AccuracySelect.from_bitwidth(b), FrequencyMask.allpass())
+            assert rep.total_cycles_fixed == 4 * 2048 * (1 << b) // 8
 
     def test_parallelism_validation(self):
         img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
@@ -481,10 +423,12 @@ def _scalar_pipeline(pixels, sel, mask):
             outs, c = dct1d_sc([cols[j][k] for j in range(N)], sel)
             freq.append(outs)
             cycles += c
-        masked = apply_mask(Block8x8.from_samples(freq), mask)
+        # a masked-out coefficient is +0
+        masked = [[freq[k][l] if mask.m[k, l] else sm(1, 0) for l in range(N)]
+                  for k in range(N)]
         rows = []  # rows[k][i]
         for k in range(N):
-            outs, c = idct1d_sc([masked.sample(k, l) for l in range(N)], sel)
+            outs, c = idct1d_sc(masked[k], sel)
             rows.append(outs)
             cycles += c
         for i in range(N):
@@ -543,18 +487,31 @@ class TestBatchedEngineOracle:
             assert np.array_equal(got.pixels, want[:h, :w])
 
 
-def _mac_transform2d(block, b, inverse):
+def _mac_transform2d(block, b, inverse, width=None):
     """_transform2d of one block on the scalar MAC: dct1d_sc over columns then
-    rows, or idct1d_sc over rows then columns; signed b-bit raws in and out."""
+    rows, or idct1d_sc over rows then columns; signed raws of `width` bits
+    (default b) in and out. Returns (samples, summed cycles of the 1D calls)."""
     sel = AccuracySelect.from_bitwidth(b)
     one_d = idct1d_sc if inverse else dct1d_sc
-    s = [[sm(1 if v >= 0 else -1, abs(int(v)), b) for v in row] for row in block]
+    s = [[sm(1 if v >= 0 else -1, abs(int(v)), width or b) for v in row] for row in block]
     if inverse:
         s = [list(col) for col in zip(*s)]
-    first = [one_d([s[i][j] for i in range(N)], sel)[0] for j in range(N)]  # [j][k]
-    second = [one_d([first[j][k] for j in range(N)], sel)[0] for k in range(N)]  # [k][l]
-    out = np.array([[v.sign * v.mag.raw for v in row] for row in second])
-    return out.T if inverse else out
+    first = [one_d([s[i][j] for i in range(N)], sel) for j in range(N)]  # [j] = ([k], cycles)
+    second = [one_d([first[j][0][k] for j in range(N)], sel) for k in range(N)]  # [k] = ([l], cycles)
+    out = np.array([[v.sign * v.mag.raw for v in outs] for outs, _ in second])
+    cycles = sum(c for _, c in first + second)
+    return (out.T if inverse else out), cycles
+
+
+def _wide_block(seed):
+    """Random signed 10-bit block, signs drawn before magnitudes."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1, 1], size=(N, N))
+    return signs * rng.integers(0, 1 << SAMPLE_WIDTH, size=(N, N))
+
+
+# full-width inputs: two random blocks and the zero block
+WIDE_BLOCKS = np.stack([_wide_block(21), _wide_block(22), np.zeros((N, N), dtype=np.int64)])
 
 
 class TestStageKernelOracle:
@@ -578,11 +535,20 @@ class TestStageKernelOracle:
         x[1] = -top
         x[2, :, ::2] = -top
         x[2, :, 1::2] = top
+        # a 10-bit sample reaches the engine truncated to b bits
+        drop = SAMPLE_WIDTH - bits
+        x = np.concatenate([x, np.sign(WIDE_BLOCKS) * (np.abs(WIDE_BLOCKS) >> drop)])
         got, got_clamps = _transform2d(x.astype(np.int16), bits, inverse)
-        want = np.stack([_mac_transform2d(blk, bits, inverse) for blk in x])
+        narrow = [_mac_transform2d(blk, bits, inverse) for blk in x[:5]]
+        wide = [_mac_transform2d(blk, bits, inverse, SAMPLE_WIDTH) for blk in WIDE_BLOCKS]
         assert got.dtype == np.int16
-        assert np.array_equal(got, want)
+        assert np.array_equal(got[:5], np.stack([out for out, _ in narrow]))
+        # full-width oracle outputs are b-bit results padded back to 10 bits
+        assert np.array_equal(got[5:].astype(np.int64) << drop, np.stack([out for out, _ in wide]))
+        assert not got[-1].any()
         assert got_clamps == sum(clamps)
+        # every block is charged 1024 multiplier slots of the fixed 2**b schedule
+        assert all(cycles == 1024 << bits for _, cycles in narrow + wide)
         if inverse:  # saturation at both ends of the table
             assert got_clamps > 0
             assert (got == top).any() and (got == -top).any()

@@ -60,3 +60,15 @@ def test_non_numeric_dimension(tmp_path):
     p.write_bytes(b"P5\nxx 2\n255\n" + bytes(4))
     with pytest.raises(ValueError, match="width"):
         read_pgm(p)
+
+
+@pytest.mark.parametrize("ws", [b"\t", b"\n", b"\x0b", b"\x0c", b"\r", b" "],
+                         ids=["tab", "lf", "vt", "ff", "cr", "space"])
+def test_every_whitespace_byte_separates(tmp_path, ws):
+    # the raster starts with whitespace bytes: only the one after maxval is skipped
+    raster = b"\t\n\x0b\x0c\r "
+    p = tmp_path / "w.pgm"
+    p.write_bytes(ws.join([b"P5", b"2", b"3", b"255", raster]))
+    img = read_pgm(p)
+    assert (img.height, img.width) == (3, 2)
+    assert img.pixels.tobytes() == raster

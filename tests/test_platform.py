@@ -74,6 +74,11 @@ class TestCalibrateCycles:
         with pytest.raises(CalibrationError):
             calibrate_cycles([(10, 85.7, 0.139), (10, 85.7, 0.140)])
 
+    @pytest.mark.parametrize("bad", [99, 11, 5, -1])
+    def test_bitwidth_outside_pipeline_rejected(self, bad):
+        with pytest.raises(CalibrationError, match="not in"):
+            calibrate_cycles([(bad, 85.7, 0.139), (9, 43.8, 0.071)])
+
     def test_too_few_rows(self):
         with pytest.raises(CalibrationError):
             calibrate_cycles([(10, 85.7, 0.139)])
