@@ -3,8 +3,6 @@ accuracy-reconfigurable DCT/IDCT image pipeline and calibrated
 timing/power/aging platform models."""
 
 from .sc_core import (
-    BIPOLAR,
-    UNIPOLAR,
     BitStream,
     CbscResult,
     LfsrConfig,
@@ -12,12 +10,10 @@ from .sc_core import (
     and_multiply,
     cbsc_multiply,
     lfsr_step,
-    mux_add,
     sng_conventional,
     sng_deterministic,
     stream_to_binary,
     unary_gen,
-    xnor_multiply,
 )
 from .mac import (
     BITWIDTHS,

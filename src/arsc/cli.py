@@ -63,8 +63,16 @@ def parse_mask(spec: str) -> FrequencyMask:
         return FrequencyMask.lowpass()
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
+        if not path:
+            raise ValueError(f"mask spec {spec!r}: empty file path")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(
+                f"mask file {path}: not UTF-8 text ({e.reason} at byte {e.start})"
+            ) from None
         rows = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -114,7 +122,7 @@ def cmd_compress(args) -> int:
     mask = parse_mask(args.mask)
     cfg = load_platform(args.platform)
 
-    report = process_image(img, sel, mask, parallelism=cfg.parallelism)
+    report = process_image(img, sel, mask)
     write_pgm(report.output, args.output)
 
     print(f"input: {args.input} ({img.width}x{img.height})")
@@ -140,9 +148,7 @@ def cmd_sweep(args) -> int:
     print(REPORT_HEADER)
     for b in BITWIDTHS:
         freq = min_frequency_for_throughput(cfg.cycle_model, b, args.target)
-        rep = process_image(
-            img, AccuracySelect.from_bitwidth(b), mask, parallelism=cfg.parallelism
-        )
+        rep = process_image(img, AccuracySelect.from_bitwidth(b), mask)
         row = _metric_row(cfg, b, freq, rep.psnr_vs_reference)
         rows.append(row)
         print(",".join(row))

@@ -26,7 +26,7 @@ N = 8
 SAMPLE_WIDTH = 10          # m: buffer width of every pipeline stage
 INTER_STAGE_SHIFT = 2      # divide by 4 between 1D stages
 PIXEL_SHIFT = SAMPLE_WIDTH - 8  # pixel p maps to raw p << PIXEL_SHIFT (p/256)
-DEFAULT_PARALLELISM = 8    # pixels fed to the transform block per cycle
+PARALLELISM = 8            # pixels fed to the transform block per cycle
 
 
 @lru_cache(maxsize=None)
@@ -327,23 +327,16 @@ def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
     return _from_blocks(out, img)
 
 
-def process_image(
-    img: GrayImage,
-    sel: AccuracySelect,
-    mask: FrequencyMask,
-    parallelism: int = DEFAULT_PARALLELISM,
-) -> PipelineReport:
+def process_image(img: GrayImage, sel: AccuracySelect, mask: FrequencyMask) -> PipelineReport:
     """Run the fixed-point pipeline over a whole image.
 
     Pixels are padded to 8x8 blocks by edge replication and normalized
     to p/256 at the 10-bit stage width. Per block: forward 2D transform,
     frequency mask, inverse 2D transform, then rounding de-normalization
     back to 0..255. Blocks run in batches of CHUNK_BLOCKS. Total cycles
-    are the summed fixed MAC schedules divided by the hardware
-    parallelism factor.
+    are the summed fixed MAC schedules divided by PARALLELISM, the
+    hardware's fixed 8 pixels per cycle.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism factor must be >= 1")
     b = sel.bitwidth
     blocks = _to_blocks(img.pixels)
     out = np.empty_like(blocks)
@@ -357,7 +350,7 @@ def process_image(
     total_cycles = (len(blocks) * 2 * _TRANSFORM_SLOTS) << b  # forward + inverse
     return PipelineReport(
         output=output,
-        total_cycles_fixed=total_cycles // parallelism,
+        total_cycles_fixed=total_cycles // PARALLELISM,
         clamp_count=clamp_count,
         psnr_vs_input=psnr(output, img),
         psnr_vs_reference=psnr(output, reference),

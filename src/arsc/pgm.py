@@ -36,12 +36,11 @@ def read_pgm(path) -> GrayImage:
         return data[start:pos]
 
     def int_token(what: str) -> int:
-        start = pos
         tok = token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"bad {what} {tok!r} at byte {start}") from None
+        # ASCII decimal digits only: int() would also take b"+8" or b"1_6"
+        if not tok.isdigit():
+            raise ValueError(f"bad {what} {tok!r} at byte {pos - len(tok)}")
+        return int(tok)
 
     magic = token()
     if magic != b"P5":

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dct import DEFAULT_PARALLELISM
 from .mac import BITWIDTHS
 
 
@@ -124,7 +123,6 @@ class PlatformConfig:
     power_model: PowerModel
     schedule: AgingSchedule
     base_freq_mhz: float
-    parallelism: int
 
     def __post_init__(self):
         if not 0 < self.base_freq_mhz < math.inf:
@@ -225,15 +223,15 @@ def _split_rows(rows):
 
 
 def calibrate_platform(rows: Sequence[tuple[int, float, float, float]]) -> PlatformConfig:
-    """Fit both models to measured (bitwidth, freq MHz, watts, latency s) rows,
-    with the FPGA aging anchors and the default hardware parallelism."""
+    """Fit both models to measured (bitwidth, freq MHz, watts, latency s) rows;
+    the aging schedule is the FPGA anchors and the base clock is the
+    highest-bitwidth row's frequency."""
     cycle_rows, power_rows = _split_rows(rows)
     return PlatformConfig(
         cycle_model=calibrate_cycles(cycle_rows),
         power_model=calibrate_power(power_rows),
         schedule=AgingSchedule(FPGA_AGING_ANCHORS),
         base_freq_mhz=_base_freq(rows),
-        parallelism=DEFAULT_PARALLELISM,
     )
 
 
@@ -331,13 +329,15 @@ def save_platform(cfg: PlatformConfig, path) -> None:
         },
         "base_freq_mhz": cfg.base_freq_mhz,
         "aging_anchors_years_mhz": [list(a) for a in cfg.schedule.anchors],
-        "parallelism": cfg.parallelism,
     }
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def load_platform(path=None) -> PlatformConfig:
-    """Load a platform config file, or the bundled FPGA defaults."""
+    """Load a platform config file, or the bundled FPGA defaults.
+
+    Unknown keys are ignored, so files written by older versions still load.
+    """
     if path is None:
         return default_platform()
     try:
@@ -355,7 +355,6 @@ def load_platform(path=None) -> PlatformConfig:
                 tuple((float(y), float(f)) for y, f in doc["aging_anchors_years_mhz"])
             ),
             base_freq_mhz=float(doc["base_freq_mhz"]),
-            parallelism=int(doc.get("parallelism", DEFAULT_PARALLELISM)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed platform config {path}: {e}") from None

@@ -2,10 +2,10 @@
 
 Models the two multiplier families used by the reconfigurable DCT
 pipeline: the conventional stochastic multiplier (LFSR stream
-generation, AND/XNOR gates, MUX adder, counter readout) and the
-counter-based multiplier, which pairs a deterministically generated
-bitstream with a unary weight stream and counts ones only while the
-weight down-counter runs.
+generation, AND gate, counter readout) and the counter-based
+multiplier, which pairs a deterministically generated bitstream with
+a unary weight stream and counts ones only while the weight
+down-counter runs.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
-
-UNIPOLAR = "unipolar"
-BIPOLAR = "bipolar"
-
-_POLARITIES = (UNIPOLAR, BIPOLAR)
 
 # Maximal-length Fibonacci taps, one primitive polynomial per register
 # width. The full period 2**width - 1 is verified exhaustively for every
@@ -134,32 +129,28 @@ class BitStream:
     """Ordered bit sequence encoding a stochastic number.
 
     Bit i of the stream (0-indexed from the first emitted bit) is
-    ``(word >> i) & 1``. Length is a power of two. A unipolar stream
-    encodes popcount/length in [0, 1]; a bipolar stream encodes
-    (2*popcount - length)/length in [-1, 1].
+    ``(word >> i) & 1``. Length is a power of two. The stream is
+    unipolar: it encodes popcount/length in [0, 1].
     """
 
     length: int
     word: int
-    polarity: str = UNIPOLAR
 
     def __post_init__(self):
         if self.length < 2 or self.length & (self.length - 1):
             raise ValueError(f"stream length must be a power of two >= 2, got {self.length}")
         if not 0 <= self.word < (1 << self.length):
             raise ValueError("stream word has bits beyond the stated length")
-        if self.polarity not in _POLARITIES:
-            raise ValueError(f"polarity must be one of {_POLARITIES}")
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int], polarity: str = UNIPOLAR) -> "BitStream":
+    def from_bits(cls, bits: Iterable[int]) -> "BitStream":
         bits = tuple(bits)
         word = 0
         for i, b in enumerate(bits):
             if b not in (0, 1):
                 raise ValueError(f"bit {i} is {b}, expected 0 or 1")
             word |= b << i
-        return cls(len(bits), word, polarity)
+        return cls(len(bits), word)
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -171,9 +162,7 @@ class BitStream:
 
     @property
     def value(self) -> float:
-        if self.polarity == UNIPOLAR:
-            return self.popcount / self.length
-        return (2 * self.popcount - self.length) / self.length
+        return self.popcount / self.length
 
     def __len__(self) -> int:
         return self.length
@@ -231,41 +220,12 @@ def and_multiply(a: BitStream, b: BitStream) -> BitStream:
     """Elementwise AND; multiplies two unipolar streams."""
     if a.length != b.length:
         raise ValueError(f"length mismatch: {a.length} vs {b.length}")
-    if a.polarity != UNIPOLAR or b.polarity != UNIPOLAR:
-        raise ValueError("AND multiplication requires unipolar streams")
     return BitStream(a.length, a.word & b.word)
 
 
-def xnor_multiply(a: BitStream, b: BitStream) -> BitStream:
-    """Elementwise XNOR; multiplies two bipolar streams."""
-    if a.length != b.length:
-        raise ValueError(f"length mismatch: {a.length} vs {b.length}")
-    if a.polarity != BIPOLAR or b.polarity != BIPOLAR:
-        raise ValueError("XNOR multiplication requires bipolar streams")
-    mask = (1 << a.length) - 1
-    return BitStream(a.length, ~(a.word ^ b.word) & mask, BIPOLAR)
-
-
-def mux_add(a: BitStream, b: BitStream, select: BitStream) -> BitStream:
-    """Multiplexer addition: bit i comes from a when select_i is 0, else b.
-
-    With a select stream of value 1/2 the output approximates
-    (value(a) + value(b)) / 2.
-    """
-    if not a.length == b.length == select.length:
-        raise ValueError("mux operands and select must share one length")
-    if a.polarity != b.polarity:
-        raise ValueError("mux data inputs must share polarity")
-    mask = (1 << a.length) - 1
-    word = (a.word & ~select.word & mask) | (b.word & select.word)
-    return BitStream(a.length, word, a.polarity)
-
-
 def stream_to_binary(s: BitStream) -> int:
-    """Counter readout: popcount for unipolar, up-down count for bipolar."""
-    if s.polarity == UNIPOLAR:
-        return s.popcount
-    return 2 * s.popcount - s.length
+    """Counter readout: the popcount of the stream."""
+    return s.popcount
 
 
 def prefix_ones(raw: int, width: int, count: int) -> int:

@@ -192,7 +192,7 @@ class TestAging:
             ("power_model", "p_dyn_w_per_mhz"),
             ("base_freq_mhz",),
             ("aging_anchors_years_mhz", 1, 1),
-            ("parallelism",),
+            ("power_model", "p_static_w"),
         ],
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -320,6 +320,18 @@ class TestImageGolden:
         assert _sse(got, tile.pixels) == golden["sse_input"]
         assert _sse(got, reference) == golden["sse_reference"]
 
+    @pytest.mark.parametrize("b", [10, 9, 8, 7, 6])
+    def test_compress_cycles_ignore_old_parallelism_key(self, tmp_path, ref_pgm, capsys, b):
+        # older calibrate runs wrote a "parallelism" key; the cycles ignore its value
+        old = tmp_path / "old.json"
+        save_platform(default_platform(), old)
+        old.write_text(json.dumps({**json.loads(old.read_text()), "parallelism": 1}))
+        capsys.readouterr()
+        assert main(["compress", "--in", str(ref_pgm), "--out", str(tmp_path / "out.pgm"),
+                     "--bits", str(b), "--platform", str(old)]) == 0
+        # 1024 blocks x (forward + inverse) x 1024 multiplier slots x 2**b / 8
+        assert f"\nsimulated_cycles_fixed: {268435456 >> (10 - b)}\n" in capsys.readouterr().out
+
 
 def _scalar_verify(max_n, seed):
     """Gate-level verify-mul, one BitStream pair at a time: (stdout, report)."""
@@ -442,10 +454,25 @@ class TestCalibrate:
         again = load_platform(path)
         assert again.cycle_model.c_sc == pytest.approx(cfg.cycle_model.c_sc)
         assert again.schedule.anchors == cfg.schedule.anchors
-        assert again.parallelism == cfg.parallelism
         rc = main(["sweep", "--in", str(small_image), "--platform", str(path),
                    "--target", "7.19"])
         assert rc == 0
+
+    @pytest.mark.parametrize("parallelism", [8, 0])
+    def test_old_parallelism_key_ignored(self, tmp_path, parallelism):
+        path = tmp_path / "p.json"
+        save_platform(default_platform(), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "parallelism": parallelism}))
+        assert load_platform(path) == default_platform()
+
+    def test_calibrate_writes_only_model_keys(self, tmp_path):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(ROWS_CSV)
+        cfg_path = tmp_path / "platform.json"
+        assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 0
+        assert sorted(json.loads(cfg_path.read_text())) == [
+            "aging_anchors_years_mhz", "base_freq_mhz", "cycle_model", "power_model"]
 
     def test_published_rows_match_bundled_defaults(self, tmp_path):
         rows = tmp_path / "rows.csv"
@@ -496,21 +523,24 @@ class TestMaskParsing:
             parse_mask("bandpass")
 
     @pytest.mark.parametrize(
-        "text,spec,message",
+        "data,spec,message",
         [
-            ("11111111\n11\n", "file", "line 2: 2 entries, expected 8"),
-            ("1x111111\n", "file", "line 1: entries must be 0 or 1"),
+            (b"11111111\n11\n", "file", " line 2: 2 entries, expected 8"),
+            (b"1x111111\n", "file", " line 1: entries must be 0 or 1"),
+            (b"P5\n8 8\n255\n\x80", "file",
+             ": not UTF-8 text (invalid start byte at byte 11)"),
             (None, "lowpass:x", "mask spec 'lowpass:x': lowpass corner must be an integer"),
+            (None, "file:", "mask spec 'file:': empty file path"),
         ],
-        ids=["ragged", "non-digit", "lowpass-x"],
+        ids=["ragged", "non-digit", "non-utf8", "lowpass-x", "file-empty-path"],
     )
-    def test_bad_spec_is_one_error_line(self, tmp_path, small_image, capsys, text, spec,
+    def test_bad_spec_is_one_error_line(self, tmp_path, small_image, capsys, data, spec,
                                         message):
-        if text is not None:
+        if data is not None:
             mask = tmp_path / "m.txt"
-            mask.write_text(text)
+            mask.write_bytes(data)
             spec = f"file:{mask}"
-            message = f"mask file {mask} {message}"
+            message = f"mask file {mask}{message}"
         out = tmp_path / "out.pgm"
         rc = main(["compress", "--in", str(small_image), "--out", str(out), "--mask", spec])
         captured = capsys.readouterr()

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import arsc.dct
 from arsc.dct import (
-    DEFAULT_PARALLELISM,
     FrequencyMask,
     GrayImage,
     INTER_STAGE_SHIFT,
     N,
+    PARALLELISM,
     SAMPLE_WIDTH,
     _transform2d,
     apply_mask,
@@ -391,11 +391,6 @@ class TestProcessImage:
             rep = process_image(img, AccuracySelect.from_bitwidth(b), FrequencyMask.allpass())
             assert rep.total_cycles_fixed == 4 * 2048 * (1 << b) // 8
 
-    def test_parallelism_validation(self):
-        img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            process_image(img, AccuracySelect(0), FrequencyMask.allpass(), parallelism=0)
-
 
 def _padded_blocks(pixels):
     h, w = pixels.shape
@@ -436,7 +431,7 @@ def _scalar_pipeline(pixels, sel, mask):
             cycles += c
             for r, s in enumerate(outs):
                 out[by + r, bx + i] = min(max(s.sign * ((s.mag.raw + 2) >> 2), 0), 255)
-    return out[:h, :w], cycles // DEFAULT_PARALLELISM
+    return out[:h, :w], cycles // PARALLELISM
 
 
 ORACLE_IMAGES = {

@@ -1,5 +1,7 @@
 """Binary PGM reader/writer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,23 @@ def test_non_numeric_dimension(tmp_path):
     p = tmp_path / "m.pgm"
     p.write_bytes(b"P5\nxx 2\n255\n" + bytes(4))
     with pytest.raises(ValueError, match="width"):
+        read_pgm(p)
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        (b"P5\n+8 16\n255\n", "bad width b'+8' at byte 3"),
+        (b"P5\n8 1_6\n255\n", "bad height b'1_6' at byte 5"),
+        (b"P5\n8 16\n+255\n", "bad maxval b'+255' at byte 8"),
+    ],
+    ids=["plus-width", "underscore-height", "plus-maxval"],
+)
+def test_header_integers_are_ascii_digits(tmp_path, header, message):
+    # each header is an 8x16 image to Python's int(); the raster is complete
+    p = tmp_path / "h.pgm"
+    p.write_bytes(header + bytes(8 * 16))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_pgm(p)
 
 

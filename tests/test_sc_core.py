@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from arsc.sc_core import (
     ALTERNATE_TAPS,
-    BIPOLAR,
     MAXIMAL_TAPS,
     BitStream,
     LfsrConfig,
@@ -18,14 +17,12 @@ from arsc.sc_core import (
     deterministic_streams,
     lfsr_states,
     lfsr_step,
-    mux_add,
     prefix_ones,
     prefix_ones_array,
     sng_conventional,
     sng_deterministic,
     stream_to_binary,
     unary_gen,
-    xnor_multiply,
 )
 
 
@@ -91,7 +88,6 @@ class TestBitStream:
 
     def test_values(self):
         assert BitStream.from_bits((1, 0, 1, 1)).value == 0.75
-        assert BitStream.from_bits((1, 0, 1, 1), BIPOLAR).value == 0.5
 
 
 class TestConventionalSng:
@@ -189,39 +185,9 @@ class TestGates:
         a = BitStream.from_bits((1, 0))
         with pytest.raises(ValueError):
             and_multiply(a, BitStream.from_bits((1, 0, 1, 0)))
-        with pytest.raises(ValueError):
-            and_multiply(a, BitStream.from_bits((1, 0), BIPOLAR))
-
-    def test_xnor_self_and_complement(self):
-        a = BitStream.from_bits((1, 1, 0, 0), BIPOLAR)
-        na = BitStream.from_bits((0, 0, 1, 1), BIPOLAR)
-        assert xnor_multiply(a, a).value == 1.0
-        assert xnor_multiply(a, na).value == -1.0
-
-    def test_xnor_example(self):
-        a = BitStream.from_bits((1, 1, 0, 0), BIPOLAR)
-        b = BitStream.from_bits((1, 0, 1, 0), BIPOLAR)
-        out = xnor_multiply(a, b)
-        assert out.bits == (1, 0, 0, 1)
-        assert out.value == 0.0
-
-    def test_mux_selects(self):
-        a = BitStream.from_bits((1, 1, 0, 0))
-        b = BitStream.from_bits((0, 1, 1, 0))
-        zeros = BitStream.from_bits((0, 0, 0, 0))
-        ones = BitStream.from_bits((1, 1, 1, 1))
-        assert mux_add(a, b, zeros) == a
-        assert mux_add(a, b, ones) == b
-
-    def test_mux_halving(self):
-        a = BitStream.from_bits((1, 1, 1, 1))
-        b = BitStream.from_bits((0, 0, 0, 0))
-        alt = BitStream.from_bits((0, 1, 0, 1))
-        assert mux_add(a, b, alt).value == 0.5
 
     def test_counter_readout(self):
         assert stream_to_binary(BitStream.from_bits((1, 0, 1, 1))) == 3
-        assert stream_to_binary(BitStream.from_bits((1, 0, 1, 1), BIPOLAR)) == 2
         assert stream_to_binary(BitStream.from_bits((0, 0, 0, 0))) == 0
 
 
