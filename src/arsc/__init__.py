@@ -35,6 +35,7 @@ from .dct import (
     idct1d_ref,
     idct1d_sc,
     process_image,
+    process_widths,
     psnr,
     quantize_coefficients,
 )

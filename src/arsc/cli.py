@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dct import N, FrequencyMask, process_image
+from .dct import N, FrequencyMask, process_image, process_widths
 from .mac import AccuracySelect, BITWIDTHS
 from .pgm import read_pgm, write_pgm
 from .platform_model import (
@@ -54,11 +54,10 @@ def parse_mask(spec: str) -> FrequencyMask:
     if spec == "allpass":
         return FrequencyMask.allpass()
     if spec.startswith("lowpass:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"mask spec {spec!r}: lowpass corner must be an integer") from None
-        return FrequencyMask.lowpass(k)
+        k = spec.split(":", 1)[1]
+        if not (k.isascii() and k.isdigit()):  # int() would also take "+4" or "0_4"
+            raise ValueError(f"mask spec {spec!r}: lowpass corner must be an integer")
+        return FrequencyMask.lowpass(int(k))
     if spec == "lowpass":
         return FrequencyMask.lowpass()
     if spec.startswith("file:"):
@@ -144,11 +143,11 @@ def cmd_sweep(args) -> int:
     mask = parse_mask(args.mask)
     cfg = load_platform(args.platform)
 
+    reports = process_widths(img, [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS], mask)
     rows = []
     print(REPORT_HEADER)
-    for b in BITWIDTHS:
+    for b, rep in zip(BITWIDTHS, reports):
         freq = min_frequency_for_throughput(cfg.cycle_model, b, args.target)
-        rep = process_image(img, AccuracySelect.from_bitwidth(b), mask)
         row = _metric_row(cfg, b, freq, rep.psnr_vs_reference)
         rows.append(row)
         print(",".join(row))
@@ -250,14 +249,12 @@ def _read_rows_csv(path):
     for lineno, ln in enumerate(lines[1:], start=2):
         cells = [c.strip() for c in ln.split(",")]
         try:
-            rows.append(
-                (
-                    int(cells[idx["bitwidth"]]),
-                    float(cells[idx["freq_mhz"]]),
-                    float(cells[idx["power_w"]]),
-                    float(cells[idx["latency_s"]]),
-                )
-            )
+            b, *values = (cells[idx[c]] for c in needed)
+            # int() and float() would also take "+9" or "1_0"; a "-1" is left
+            # to calibrate_platform, which refuses widths outside the pipeline
+            if not (b.isascii() and b.removeprefix("-").isdigit()) or "_" in "".join(values):
+                raise ValueError(b)
+            rows.append((int(b), *map(float, values)))
         except (ValueError, IndexError):
             raise ValueError(f"bad row at line {lineno} of {path}: {ln!r}") from None
     return rows

@@ -1,11 +1,12 @@
 """8-point DCT/IDCT image pipeline on the reconfigurable MAC.
 
 The fixed-point path reproduces the sign-magnitude MAC unit (mac.mac)
-bit for bit, batched over whole images: each 1D stage gathers one
-16-byte row of eight counter-based products per sample and lane, sums
-the rows in int16 and finishes every sum with one saturation-table
-lookup. A float64 path with the same separable structure, one GEMM per
-matrix product, serves as the accuracy reference. Every 1D stage output is
+bit for bit, batched over bands of whole block rows that every bit-width
+shares: each 1D stage gathers one 16-byte row of eight counter-based
+products per sample and lane, sums the rows in int16 and finishes every
+sum with one saturation-table lookup. A float64 path with the same
+separable structure, one GEMM per matrix product, serves as the accuracy
+reference and runs once per band. Every 1D stage output is
 scaled by 1/4 before buffering (and re-amplified by 4 in the inverse
 stages) so that all multiplier operands stay inside [0, 1); the net
 forward+inverse gain is exactly 1.
@@ -167,7 +168,10 @@ def idct1d_sc(f, sel: AccuracySelect):
 # multiplier slots of one 2D transform (2 stages x 8 vectors x 8 MACs x
 # 8 terms), each charged the fixed 2**b-cycle schedule
 _TRANSFORM_SLOTS = 2 * N * N * N
-CHUNK_BLOCKS = 256  # blocks per batch; bounds every temporary at ~100 KB
+# blocks per band of whole block rows. Each stage holds about 1.5 KB of
+# temporaries per block: smaller bands pay more per-band overhead, larger
+# ones outgrow a 2 MB L2 cache (512 beat 256 and 1024 at 256² and 1024²)
+CHUNK_BLOCKS = 512
 
 
 @lru_cache(maxsize=None)
@@ -258,15 +262,22 @@ class GrayImage:
         return bool(np.array_equal(self.pixels, other.pixels))
 
 
+def _sse(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact integer sum of squared differences of two uint8 arrays."""
+    d = (np.maximum(a, b) - np.minimum(a, b)).astype(np.uint16)
+    return int(np.sum(d * d, dtype=np.uint64))  # d * d <= 255**2: exact in uint16
+
+
+def _psnr_db(sse: int, pixels: int) -> float:
+    """PSNR in dB of a summed squared error over a pixel count; 0 gives inf."""
+    return math.inf if sse == 0 else 10.0 * math.log10(255.0 * 255.0 / (sse / pixels))
+
+
 def psnr(a: GrayImage, b: GrayImage) -> float:
     """Peak signal-to-noise ratio in dB; identical images report inf."""
     if a.pixels.shape != b.pixels.shape:
         raise ValueError(f"dimension mismatch: {a.pixels.shape} vs {b.pixels.shape}")
-    d = (np.maximum(a.pixels, b.pixels) - np.minimum(a.pixels, b.pixels)).astype(np.uint16)
-    sse = int(np.sum(d * d, dtype=np.uint64))  # d * d <= 255**2: exact in uint16
-    if sse == 0:
-        return math.inf
-    return 10.0 * math.log10(255.0 * 255.0 / (sse / d.size))
+    return _psnr_db(_sse(a.pixels, b.pixels), a.pixels.size)
 
 
 @dataclass(frozen=True)
@@ -288,11 +299,23 @@ def _to_blocks(pixels: np.ndarray) -> np.ndarray:
     return padded.reshape(rows, N, cols, N).swapaxes(1, 2).reshape(-1, N, N)
 
 
-def _from_blocks(blocks: np.ndarray, img: GrayImage) -> GrayImage:
-    """Inverse of _to_blocks, cropped to the image's own size."""
-    rows, cols = -(-img.height // N), -(-img.width // N)
+def _bands(pixels: np.ndarray):
+    """(first row, pixel rows, blocks) of each band of whole block rows, at least
+    one and about CHUNK_BLOCKS blocks; only the last band is padded at the bottom."""
+    step = N * max(1, CHUNK_BLOCKS // -(-pixels.shape[1] // N))
+    for y in range(0, pixels.shape[0], step):
+        yield y, pixels[y:y + step], _to_blocks(pixels[y:y + step])
+
+
+def _put(raster: np.ndarray, y: int, blocks: np.ndarray) -> np.ndarray:
+    """Write row-major blocks over the raster's rows from y on, cropped to its
+    size; returns those rows."""
+    cols = -(-raster.shape[1] // N)
+    rows = len(blocks) // cols
+    band = raster[y:y + rows * N]
     pixels = blocks.reshape(rows, cols, N, N).swapaxes(1, 2).reshape(rows * N, cols * N)
-    return GrayImage(pixels[: img.height, : img.width])
+    band[...] = pixels[:len(band), :raster.shape[1]]
+    return band
 
 
 def _fixed_chunk(pixels: np.ndarray, b: int, mask: FrequencyMask):
@@ -313,45 +336,45 @@ def _reference_chunk(pixels: np.ndarray, mask: FrequencyMask) -> np.ndarray:
     c = dct_basis()
     x = np.ascontiguousarray(pixels.transpose(1, 0, 2), dtype=np.float64)
     f = ((c @ x.reshape(N, -1)).reshape(-1, N) @ c.T).reshape(x.shape) * mask.m[:, None, :]
-    out = ((c.T @ f.reshape(N, -1)).reshape(-1, N) @ c).reshape(x.shape)
-    # negatives clip to 0, so floor(out + 0.5) rounds half away from zero
-    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8).transpose(1, 0, 2)
+    # the last product overwrites x, so at most three chunk-sized arrays live
+    np.matmul((c.T @ f.reshape(N, -1)).reshape(-1, N), c, out=x.reshape(-1, N))
+    # negatives clip to 0, so floor(x + 0.5) rounds half away from zero
+    np.floor(np.add(x, 0.5, out=x), out=x)
+    return np.clip(x, 0, 255, out=x).astype(np.uint8).transpose(1, 0, 2)
 
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
-    """Float64 pipeline with the same blocking and mask; the accuracy baseline."""
-    blocks = _to_blocks(img.pixels)
-    out = np.empty_like(blocks)
-    for s in range(0, len(blocks), CHUNK_BLOCKS):
-        out[s:s + CHUNK_BLOCKS] = _reference_chunk(blocks[s:s + CHUNK_BLOCKS], mask)
-    return _from_blocks(out, img)
+    """Float64 pipeline with the same blocks, bands and mask; the accuracy baseline."""
+    out = np.empty_like(img.pixels)
+    for y, _, blocks in _bands(img.pixels):
+        _put(out, y, _reference_chunk(blocks, mask))
+    return GrayImage(out)
+
+
+def process_widths(img: GrayImage, sels, mask: FrequencyMask) -> list[PipelineReport]:
+    """Run the fixed-point pipeline over a whole image at each AccuracySelect in sels.
+
+    Pixels are padded to 8x8 blocks by edge replication and normalized to
+    p/256 at the 10-bit stage width. Per block: forward 2D transform, mask,
+    inverse 2D transform, de-normalization to 0..255. Each band is blocked
+    and run through the float reference once, then through every width.
+    Total cycles are the fixed MAC schedules over PARALLELISM pixels a cycle.
+    """
+    h, w = img.pixels.shape
+    outs = [np.empty_like(img.pixels) for _ in sels]
+    totals = np.zeros((len(sels), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
+    for y, band, blocks in _bands(img.pixels):
+        ref = _put(np.empty_like(band), 0, _reference_chunk(blocks, mask))
+        for k, sel in enumerate(sels):
+            pixels, count = _fixed_chunk(blocks, sel.bitwidth, mask)
+            got = _put(outs[k], y, pixels)
+            totals[k] += count, _sse(got, band), _sse(got, ref)
+    slots = -(-h // N) * -(-w // N) * 2 * _TRANSFORM_SLOTS  # forward + inverse
+    return [PipelineReport(GrayImage(out), (slots << sel.bitwidth) // PARALLELISM,
+                           count, _psnr_db(si, h * w), _psnr_db(sr, h * w))
+            for sel, out, (count, si, sr) in zip(sels, outs, totals.tolist())]
 
 
 def process_image(img: GrayImage, sel: AccuracySelect, mask: FrequencyMask) -> PipelineReport:
-    """Run the fixed-point pipeline over a whole image.
-
-    Pixels are padded to 8x8 blocks by edge replication and normalized
-    to p/256 at the 10-bit stage width. Per block: forward 2D transform,
-    frequency mask, inverse 2D transform, then rounding de-normalization
-    back to 0..255. Blocks run in batches of CHUNK_BLOCKS. Total cycles
-    are the summed fixed MAC schedules divided by PARALLELISM, the
-    hardware's fixed 8 pixels per cycle.
-    """
-    b = sel.bitwidth
-    blocks = _to_blocks(img.pixels)
-    out = np.empty_like(blocks)
-    clamp_count = 0
-    for s in range(0, len(blocks), CHUNK_BLOCKS):
-        out[s:s + CHUNK_BLOCKS], clamps = _fixed_chunk(blocks[s:s + CHUNK_BLOCKS], b, mask)
-        clamp_count += clamps
-
-    output = _from_blocks(out, img)
-    reference = reference_pipeline(img, mask)
-    total_cycles = (len(blocks) * 2 * _TRANSFORM_SLOTS) << b  # forward + inverse
-    return PipelineReport(
-        output=output,
-        total_cycles_fixed=total_cycles // PARALLELISM,
-        clamp_count=clamp_count,
-        psnr_vs_input=psnr(output, img),
-        psnr_vs_reference=psnr(output, reference),
-    )
+    """Run the pipeline at one width: one band pass of process_widths."""
+    return process_widths(img, [sel], mask)[0]

@@ -137,6 +137,28 @@ class TestSweep:
         assert [int(ln.split()[1].split("-")[0]) for ln in err] == warned
         assert all(ln.startswith("warning: ") and "85.7000 MHz base clock" in ln for ln in err)
 
+    def test_width_independent_work_runs_once_per_band(self, tmp_path, monkeypatch):
+        calls = {"_to_blocks": 0, "_reference_chunk": 0, "_fixed_chunk": 0}
+
+        def counted(name):
+            fn = getattr(arsc.dct, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(arsc.dct, name, counted(name))
+        src = tmp_path / "ref256.pgm"
+        write_pgm(reference_image(), src)
+        assert main(["sweep", "--in", str(src)]) == 0
+        # 32 x 32 blocks in bands of whole block rows
+        bands = -(-32 // max(1, arsc.dct.CHUNK_BLOCKS // 32))
+        assert bands < 5
+        assert calls == {"_to_blocks": bands, "_reference_chunk": bands,
+                         "_fixed_chunk": 5 * bands}
+
     @pytest.mark.parametrize("target", ["nan", "inf", "0", "-7.19"])
     def test_bad_target_usage_error(self, small_image, target):
         with pytest.raises(SystemExit) as exc:
@@ -437,6 +459,24 @@ class TestCalibrate:
         assert captured.err.count("\n") == 1
         assert not cfg_path.exists()
 
+    @pytest.mark.parametrize("row,bad", [
+        ("1_0,8_5.7,0.292,0.139", 2),    # digit separators
+        ("10,85.7,0.292,0.139\n+9,43.8,0.177,0.071", 3),  # a signed width
+        ("10,85.7,0.2_92,0.139", 2),     # a separator in a float cell
+        ("\u0661\u0660,85.7,0.292,0.139", 2),  # non-ASCII digits
+    ], ids=["separators", "signed-width", "float-separator", "non-ascii-digits"])
+    def test_non_decimal_cells_are_bad_rows(self, tmp_path, capsys, row, bad):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"bitwidth,freq_mhz,power_w,latency_s\n{row}\n8,22.9,0.120,0.037\n",
+                        encoding="utf-8")
+        cfg_path = tmp_path / "p.json"
+        assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad row at line {bad} of {rows}: ")
+        assert captured.err.count("\n") == 1
+        assert not cfg_path.exists()
+
     def test_single_row_fails(self, tmp_path):
         rows = tmp_path / "rows.csv"
         rows.write_text("bitwidth,freq_mhz,power_w,latency_s\n10,85.7,0.292,0.139\n")
@@ -531,8 +571,11 @@ class TestMaskParsing:
              ": not UTF-8 text (invalid start byte at byte 11)"),
             (None, "lowpass:x", "mask spec 'lowpass:x': lowpass corner must be an integer"),
             (None, "file:", "mask spec 'file:': empty file path"),
+            (None, "lowpass:+0_4",
+             "mask spec 'lowpass:+0_4': lowpass corner must be an integer"),
         ],
-        ids=["ragged", "non-digit", "non-utf8", "lowpass-x", "file-empty-path"],
+        ids=["ragged", "non-digit", "non-utf8", "lowpass-x", "file-empty-path",
+             "lowpass-sign-separator"],
     )
     def test_bad_spec_is_one_error_line(self, tmp_path, small_image, capsys, data, spec,
                                         message):

@@ -17,6 +17,10 @@ from arsc.dct import (
     N,
     PARALLELISM,
     SAMPLE_WIDTH,
+    PipelineReport,
+    _fixed_chunk,
+    _reference_chunk,
+    _to_blocks,
     _transform2d,
     apply_mask,
     dct1d_ref,
@@ -27,11 +31,12 @@ from arsc.dct import (
     idct1d_sc,
     idct2d_ref,
     process_image,
+    process_widths,
     psnr,
     quantize_coefficients,
     reference_pipeline,
 )
-from arsc.mac import AccuracySelect, SignMagnitude, mac
+from arsc.mac import BITWIDTHS, AccuracySelect, SignMagnitude, mac
 from arsc.refimage import reference_image
 from arsc.sc_core import UnsignedFixed
 
@@ -547,6 +552,48 @@ class TestStageKernelOracle:
         if inverse:  # saturation at both ends of the table
             assert got_clamps > 0
             assert (got == top).any() and (got == -top).any()
+
+
+def _unblock(blocks, h, w):
+    rows, cols = -(-h // N), -(-w // N)
+    return blocks.reshape(rows, cols, N, N).swapaxes(1, 2).reshape(rows * N, cols * N)[:h, :w]
+
+
+def _whole_image(pixels, mask):
+    """The single-pass formula: every block at once, one width at a time.
+    Returns (reference image, one PipelineReport per width of BITWIDTHS)."""
+    h, w = pixels.shape
+    blocks = _to_blocks(pixels)
+    ref = GrayImage(_unblock(_reference_chunk(blocks, mask), h, w))
+    reports = []
+    for b in BITWIDTHS:
+        out, clamps = _fixed_chunk(blocks, b, mask)
+        img = GrayImage(_unblock(out, h, w))
+        cycles = (len(blocks) * 2048 << b) // PARALLELISM
+        reports.append(PipelineReport(img, cycles, clamps, psnr(img, GrayImage(pixels)),
+                                      psnr(img, ref)))
+    return ref, reports
+
+
+class TestBands:
+    """The band loop against the whole image at once, with band edges at
+    every block row, mid-image, and the last band padded at the bottom."""
+
+    @pytest.mark.parametrize("mask", [FrequencyMask.allpass(), FrequencyMask.lowpass(4)])
+    @pytest.mark.parametrize("chunk", [1, 3, 10, arsc.dct.CHUNK_BLOCKS])
+    def test_matches_whole_image(self, chunk, mask, monkeypatch):
+        monkeypatch.setattr(arsc.dct, "CHUNK_BLOCKS", chunk)
+        rng = np.random.default_rng(chunk)
+        # the last shape is wider than one band, so each band is one block row
+        shapes = [(1, 1), (1, 77), (37, 29), (101, 64), (8, 8 * (chunk + 3))]
+        sels = [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS]
+        for shape in shapes:
+            pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
+            ref, want = _whole_image(pixels, mask)
+            got = process_widths(GrayImage(pixels), sels, mask)
+            assert got == want, shape
+            assert [r.output.pixels.shape for r in got] == [shape] * len(sels)
+            assert reference_pipeline(GrayImage(pixels), mask) == ref, shape
 
 
 class TestGrayImage:
