@@ -40,7 +40,7 @@ from .sc_core import (
     LfsrConfig,
     conventional_and_counts,
     deterministic_streams,
-    prefix_ones_array,
+    prefix_ones_table,
 )
 
 REPORT_HEADER = "bitwidth,freq_mhz,power_w,psnr_db,latency_s,throughput_fps"
@@ -55,9 +55,12 @@ def parse_mask(spec: str) -> FrequencyMask:
         return FrequencyMask.allpass()
     if spec.startswith("lowpass:"):
         k = spec.split(":", 1)[1]
-        if not (k.isascii() and k.isdigit()):  # int() would also take "+4" or "0_4"
-            raise ValueError(f"mask spec {spec!r}: lowpass corner must be an integer")
-        return FrequencyMask.lowpass(int(k))
+        try:
+            if not (k.isascii() and k.isdigit()):  # int() would also take "+4" or "0_4"
+                raise ValueError("lowpass corner must be an integer")
+            return FrequencyMask.lowpass(int(k))
+        except ValueError as e:
+            raise ValueError(f"mask spec {spec!r}: {e}") from None
     if spec == "lowpass":
         return FrequencyMask.lowpass()
     if spec.startswith("file:"):
@@ -188,27 +191,28 @@ def cmd_verify_mul(args) -> int:
     rows = []
     for n in range(3, args.max_n + 1):
         size = 1 << n
-        x = np.arange(size)[:, None]
-        w = np.arange(size + 1)[None, :]
         # gate level: ones of each stream ANDed with unary(w), w = 0..size
-        gate = np.zeros((size, size + 1), dtype=np.int64)
-        np.cumsum(deterministic_streams(n), axis=1, dtype=np.int64, out=gate[:, 1:])
-        product = prefix_ones_array(x, n, w)
+        gate = np.zeros((size, size + 1), dtype=np.int16)
+        np.cumsum(deterministic_streams(n), axis=1, dtype=np.int16, out=gate[:, 1:])
+        product = prefix_ones_table(n, np.arange(size + 1))
         mismatches = int(np.count_nonzero(product != gate))
         violations += mismatches
         pairs = product.size
         identity_ok = mismatches == 0
-        cbsc_errs = np.abs(product / size - (x * w) / (size * size)).ravel()
+        # errors in units of 4**-n: |p * 2**n - x * w| is exact in int32, and
+        # float(sum) / 4**n / pairs rounds like the mean of the float errors
+        xw = np.multiply.outer(np.arange(size, dtype=np.int32), np.arange(size + 1, dtype=np.int32))
+        cbsc_errs = abs(np.left_shift(product, n, dtype=np.int32) - xw)
 
         # conventional multiplier: two decorrelated LFSR generators
         cfg_x = LfsrConfig(n, seed=_fold_seed(args.seed, n))
         cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=_fold_seed(args.seed ^ 0x5A5A5A, n))
         counts = conventional_and_counts(cfg_x, cfg_w)
-        conv_errs = np.abs(counts / size - (x * w[:, :size]) / (size * size)).ravel()
+        conv_errs = abs(np.left_shift(counts, n, dtype=np.int32) - xw[:, :size])
 
-        cbsc_max = float(cbsc_errs.max())
-        cbsc_mean = float(np.mean(cbsc_errs))
-        conv_mean = float(np.mean(conv_errs))
+        cbsc_max = int(cbsc_errs.max()) / 4**n
+        cbsc_mean = float(cbsc_errs.sum(dtype=np.int64)) / 4**n / pairs
+        conv_mean = float(conv_errs.sum(dtype=np.int64)) / 4**n / counts.size
         rows.append(
             [
                 str(n),
@@ -283,6 +287,13 @@ def finite_positive_float(text: str) -> float:
     return v
 
 
+def output_path(text: str) -> Path:
+    path = Path(text)
+    if path.is_dir() or not path.parent.is_dir():  # refused before any work or output
+        raise argparse.ArgumentTypeError(f"{text!r} is not a file path in an existing directory")
+    return path
+
+
 def nonnegative_int(text: str) -> int:
     v = int(text)
     if v < 0:
@@ -297,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
         "with calibrated platform models",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", type=Path, help="write the command's CSV report here")
+    common.add_argument("--report", type=output_path, help="write the command's CSV report here")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compress", parents=[common], help="run one image through the pipeline")
     p.add_argument("--in", dest="input", required=True, type=Path, help="input PGM (P5)")
-    p.add_argument("--out", dest="output", required=True, type=Path, help="output PGM")
+    p.add_argument("--out", dest="output", required=True, type=output_path, help="output PGM")
     p.add_argument("--bits", type=int, choices=BITWIDTHS, default=10, help="accuracy bit-width")
     p.add_argument("--mask", default="lowpass:4", help="allpass | lowpass:K | file:PATH")
     p.add_argument("--platform", type=Path, help="platform config (default: bundled FPGA fit)")
@@ -332,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit platform models from a rows CSV")
     p.add_argument("--rows", required=True, type=Path,
                    help="CSV with bitwidth,freq_mhz,power_w,latency_s columns")
-    p.add_argument("--out", required=True, type=Path, help="platform config to write")
+    p.add_argument("--out", required=True, type=output_path, help="platform config to write")
     p.set_defaults(func=cmd_calibrate)
     return parser
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mac import AccuracySelect, SignMagnitude, mac
-from .sc_core import UnsignedFixed, prefix_ones_array
+from .sc_core import UnsignedFixed, prefix_ones_table
 
 N = 8
 SAMPLE_WIDTH = 10          # m: buffer width of every pipeline stage
@@ -187,9 +187,9 @@ def _product_tables(b: int, inverse: bool) -> tuple[np.ndarray, np.ndarray, tupl
     csigns, weights = _coeff_arrays(b)
     if inverse:
         csigns, weights = csigns.T, weights.T
-    mags = np.arange(1 << b)[None, :, None]
-    prod = prefix_ones_array(mags, b, weights.T[:, None, :]) * csigns.T[:, None, :]
-    rows = np.concatenate([-prod[:, :0:-1], prod], axis=1).astype(np.int16).view(np.complex128)
+    prod = prefix_ones_table(b, weights.T) * csigns.T  # [|sv|, lane i, k]
+    signed = np.concatenate([-prod[:0:-1], prod]).astype(np.int16)
+    rows = signed.swapaxes(0, 1).copy().view(np.complex128)  # C order: each lane contiguous
     acc = np.arange(-N << b, (N << b) + 1)
     mag = np.abs(acc) << INTER_STAGE_SHIFT if inverse else np.abs(acc) >> INTER_STAGE_SHIFT
     post = (np.sign(acc) * np.minimum(mag, (1 << b) - 1)).astype(np.int16)

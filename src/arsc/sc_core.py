@@ -243,48 +243,57 @@ def prefix_ones(raw: int, width: int, count: int) -> int:
     return total
 
 
-def prefix_ones_array(raw, width: int, count) -> np.ndarray:
-    """``prefix_ones`` elementwise over broadcast integer arrays (int32)."""
-    raw = np.asarray(raw, dtype=np.int32)
-    count = np.asarray(count, dtype=np.int32)
-    total = np.zeros(np.broadcast_shapes(raw.shape, count.shape), dtype=np.int32)
+def prefix_ones_table(width: int, count) -> np.ndarray:
+    """``prefix_ones`` of every raw value 0..2**width-1 at each ``count``.
+
+    Entry [raw, *idx] of the ``(2**width, *count.shape)`` result equals
+    ``prefix_ones(raw, width, count[idx])`` for counts in 0..2**width, as
+    int16 up to width 14 and int32 beyond. Built by doubling: rows
+    [2**j, 2**(j+1)) are rows [0, 2**j) plus input bit j's closed-form term.
+    """
+    count = np.asarray(count)
+    table = np.zeros((1 << width, *count.shape), dtype=np.int16 if width < 15 else np.int32)
     for j in range(width):
-        total += ((raw >> j) & 1) * ((count + (1 << (width - 1 - j))) >> (width - j))
-    return total
+        table[1 << j:2 << j] = table[:1 << j] + ((count + (1 << (width - 1 - j))) >> (width - j))
+    return table
 
 
 def deterministic_streams(width: int) -> np.ndarray:
     """``sng_deterministic`` of every raw value 0..2**width-1 at once.
 
-    Row x, column c-1 holds the bit emitted at cycle c, as a
-    ``(2**width, 2**width)`` uint8 array built from the placement rule:
-    x_{width-1-ctz(c)}, and 0 on the last cycle, where ctz(c) = width.
+    Row x, column c-1 of the ``(2**width, 2**width)`` int16 result holds the
+    bit emitted at cycle c: x_{width-1-ctz(c)}, and 0 on the last cycle,
+    where ctz(c) = width. The width+1 distinct columns are built once and
+    gathered by ctz with one ``np.take``.
     """
     size = 1 << width
     cycle = np.arange(1, size + 1)
-    ctz = np.log2(cycle & -cycle).astype(np.int64)  # exact: cycle & -cycle is 2**ctz
-    raw = np.arange(size)[:, None]
-    bits = (raw >> np.maximum(width - 1 - ctz, 0)) & 1
-    return np.where(ctz < width, bits, 0).astype(np.uint8)
+    ctz = np.log2(cycle & -cycle).astype(np.intp)  # exact: cycle & -cycle is 2**ctz
+    columns = np.zeros((size, width + 1), dtype=np.int16)
+    columns[:, :width] = (np.arange(size)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    return np.take(columns, ctz, axis=1)
 
 
 def conventional_and_counts(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> np.ndarray:
     """AND-popcounts of two ``sng_conventional`` streams for every operand pair.
 
-    Entry [x, w] of the ``(2**n, 2**n)`` int64 result equals
+    Entry [x, w] of the ``(2**n, 2**n)`` int32 result equals
     ``stream_to_binary(and_multiply(sng_conventional(x, 2**n, cfg_x),
     sng_conventional(w, 2**n, cfg_w)))``, i.e. #{i : sx_i < x and sw_i < w}
     over the first 2**n states of each LFSR. It is the 2D prefix sum of the
-    occupancy grid of (sx_i, sw_i), shifted by one so the bounds are strict.
+    occupancy grid of (sx_i, sw_i), shifted by one so the bounds are strict;
+    int32 holds every count up to 2**16 (the widest LFSR).
     """
     if cfg_x.width != cfg_w.width:
         raise ValueError(f"LFSR widths differ: {cfg_x.width} vs {cfg_w.width}")
     size = 1 << cfg_x.width
-    sx = np.fromiter(lfsr_states(cfg_x, size), dtype=np.int64, count=size)
-    sw = np.fromiter(lfsr_states(cfg_w, size), dtype=np.int64, count=size)
-    grid = np.bincount((sx + 1) * (size + 1) + sw + 1, minlength=(size + 1) ** 2)
-    grid = grid.reshape(size + 1, size + 1).cumsum(axis=0).cumsum(axis=1)
-    return grid[:size, :size]
+    sx = np.fromiter(lfsr_states(cfg_x, size), dtype=np.intp, count=size)
+    sw = np.fromiter(lfsr_states(cfg_w, size), dtype=np.intp, count=size)
+    grid = np.zeros((size + 1, size + 1), dtype=np.int32)
+    np.add.at(grid, (sx + 1, sw + 1), 1)
+    for v in range(1, size):  # np.cumsum down axis 0 would stride through memory
+        grid[v] += grid[v - 1]
+    return grid.cumsum(axis=1, out=grid)[:size, :size]
 
 
 class CbscResult(NamedTuple):

@@ -25,6 +25,7 @@ from arsc.sc_core import (
     UnsignedFixed,
     and_multiply,
     cbsc_multiply,
+    lfsr_states,
     sng_conventional,
     sng_deterministic,
     stream_to_binary,
@@ -268,15 +269,15 @@ class TestVerifyMul:
         assert rep.read_text() == want_report
 
     def test_identity_violation_detected(self, tmp_path, capsys, monkeypatch):
-        real = arsc.cli.prefix_ones_array
+        real = arsc.cli.prefix_ones_table
 
-        def perturbed(raw, width, count):
-            out = real(raw, width, count)
+        def perturbed(width, count):
+            out = real(width, count)
             if width == 4:
                 out[5, 9] += 1
             return out
 
-        monkeypatch.setattr(arsc.cli, "prefix_ones_array", perturbed)
+        monkeypatch.setattr(arsc.cli, "prefix_ones_table", perturbed)
         rep = tmp_path / "v.csv"
         assert main(["verify-mul", "--max-n", "5", "--report", str(rep)]) == 1
         captured = capsys.readouterr()
@@ -284,6 +285,28 @@ class TestVerifyMul:
         assert identity == ["identity=ok", "identity=VIOLATED", "identity=ok"]
         assert [r.split(",")[2] for r in rep.read_text().splitlines()[1:]] == ["yes", "no", "yes"]
         assert captured.err == "error: 1 identity violations\n"
+
+    @pytest.mark.parametrize("seed", [0, 2, 7, -5, 123456])
+    def test_error_columns_match_float_means(self, tmp_path, seed):
+        # the command sums integer errors in units of 4**-n; the float64 means
+        # over every pair must round to the same report cells
+        rep = tmp_path / "v.csv"
+        assert main(["verify-mul", "--max-n", "10", "--seed", str(seed),
+                     "--report", str(rep)]) == 0
+        for n, row in zip(range(3, 11), rep.read_text().splitlines()[1:], strict=True):
+            size = 1 << n
+            x, w = np.arange(size)[:, None], np.arange(size + 1)[None, :]
+            p = sum(((x >> j) & 1) * ((w + (1 << (n - 1 - j))) >> (n - j)) for j in range(n))
+            cbsc = np.abs(p / 2**n - x * w / 4**n)
+            # AND counts of the LFSR streams as one exact float32 matrix product
+            states = [np.array(list(lfsr_states(cfg, size)))
+                      for cfg in (LfsrConfig(n, seed=_fold_seed(seed, n)),
+                                  LfsrConfig(n, ALTERNATE_TAPS[n],
+                                             seed=_fold_seed(seed ^ 0x5A5A5A, n)))]
+            sx, sw = ((s[None, :] < np.arange(size)[:, None]).astype(np.float32) for s in states)
+            conv = np.abs((sx @ sw.T) / 2**n - x * w[:, :size] / 4**n)
+            assert row == (f"{n},{p.size},yes,{cbsc.max():.8f},{np.mean(cbsc):.8f},"
+                           f"{np.mean(conv):.8f}")
 
     def test_full_width_matches_golden(self, tmp_path):
         golden = json.loads(GOLDEN.read_text())["verify-mul"]
@@ -293,6 +316,37 @@ class TestVerifyMul:
         got = {r[0]: {"cbsc_max_abs_err": r[3], "cbsc_mean_abs_err": r[4]}
                for r in (ln.split(",") for ln in rep.read_text().splitlines()[1:])}
         assert got == golden["rows"]
+
+
+class TestOutputPaths:
+    """An output path that cannot be a file is refused before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-mul", "--max-n", "3", "--report", "{missing}/v.csv"],
+        ["compress", "--in", "{image}", "--out", "{missing}/o.pgm"],
+        ["compress", "--in", "{image}", "--out", "{tmp}/o.pgm", "--report", "{missing}/r.csv"],
+        ["sweep", "--in", "{image}", "--report", "{missing}/r.csv"],
+        ["aging", "--report", "{missing}/r.csv"],
+        ["calibrate", "--rows", "{rows}", "--out", "{missing}/p.json"],
+        ["verify-mul", "--max-n", "3", "--report", "{image}/v.csv"],
+        ["calibrate", "--rows", "{rows}", "--out", "{tmp}"],
+    ], ids=["verify-mul", "compress-out", "compress-report", "sweep", "aging", "calibrate",
+            "parent-is-a-file", "path-is-a-directory"])
+    def test_refused_at_parsing(self, tmp_path, small_image, capsys, argv):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(ROWS_CSV)
+        before = sorted(tmp_path.rglob("*"))
+        names = {"missing": tmp_path / "no" / "such", "image": small_image, "tmp": tmp_path,
+                 "rows": rows}
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**names) for a in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1
+        assert errors[0].endswith("is not a file path in an existing directory")
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 # the tile transforms of the benchmark's 1024x1024 image, keyed as in golden.json
@@ -573,9 +627,11 @@ class TestMaskParsing:
             (None, "file:", "mask spec 'file:': empty file path"),
             (None, "lowpass:+0_4",
              "mask spec 'lowpass:+0_4': lowpass corner must be an integer"),
+            (None, "lowpass:9", "mask spec 'lowpass:9': lowpass corner 9 out of range 1..8"),
+            (None, "lowpass:0", "mask spec 'lowpass:0': lowpass corner 0 out of range 1..8"),
         ],
         ids=["ragged", "non-digit", "non-utf8", "lowpass-x", "file-empty-path",
-             "lowpass-sign-separator"],
+             "lowpass-sign-separator", "lowpass-9", "lowpass-0"],
     )
     def test_bad_spec_is_one_error_line(self, tmp_path, small_image, capsys, data, spec,
                                         message):

@@ -554,6 +554,26 @@ class TestStageKernelOracle:
             assert (got == top).any() and (got == -top).any()
 
 
+class TestProductTables:
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("b", BITWIDTHS)
+    def test_rows_match_closed_form_lane_major(self, b, inverse):
+        # each lane's rows must stay contiguous: _stage gathers 16-byte rows per lane
+        rows, _, _ = arsc.dct._product_tables(b, inverse)
+        size = 1 << b
+        assert rows.shape == (N, 2 * size - 1, 1) and rows.flags.c_contiguous
+        signs, weights = arsc.dct._coeff_arrays(b)
+        if inverse:
+            signs, weights = signs.T, weights.T
+        sv = np.arange(1 - size, size)[None, :, None]
+        w = weights.T[:, None, :]  # [lane i, 1, k]
+        # prefix_ones bit by bit, independent of the table's doubling
+        ones = sum(((np.abs(sv) >> j) & 1) * ((w + (1 << (b - 1 - j))) >> (b - j))
+                   for j in range(b))
+        want = np.sign(sv) * signs.T[:, None, :] * ones
+        assert np.array_equal(rows.view(np.int16), want)
+
+
 def _unblock(blocks, h, w):
     rows, cols = -(-h // N), -(-w // N)
     return blocks.reshape(rows, cols, N, N).swapaxes(1, 2).reshape(rows * N, cols * N)[:h, :w]

@@ -18,7 +18,7 @@ from arsc.sc_core import (
     lfsr_states,
     lfsr_step,
     prefix_ones,
-    prefix_ones_array,
+    prefix_ones_table,
     sng_conventional,
     sng_deterministic,
     stream_to_binary,
@@ -236,9 +236,26 @@ class TestCbscMultiply:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_array_form_matches_scalar_exhaustive(self, n):
         size = 1 << n
-        got = prefix_ones_array(np.arange(size)[:, None], n, np.arange(size + 1)[None, :])
+        got = prefix_ones_table(n, np.arange(size + 1))
         want = [[prefix_ones(x, n, w) for w in range(size + 1)] for x in range(size)]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_table_dtype_holds_every_count(self, n):
+        # int16 up to width 14 and int32 beyond, so the top rows never wrap
+        counts = [0, 1, 3, (1 << n) - 1, 1 << n]
+        raws = [0, 1, (1 << n) // 3, (1 << n) - 2, (1 << n) - 1]
+        table = prefix_ones_table(n, np.array(counts))
+        assert table.shape == (1 << n, len(counts))
+        assert table[raws].tolist() == [[prefix_ones(x, n, w) for w in counts] for x in raws]
+
+
+def _scalar_and_counts(cfg_x, cfg_w):
+    """AND-popcounts of every pair of scalar ``sng_conventional`` streams."""
+    size = 1 << cfg_x.width
+    sx = [sng_conventional(UnsignedFixed(cfg_x.width, x), size, cfg_x) for x in range(size)]
+    sw = [sng_conventional(UnsignedFixed(cfg_w.width, w), size, cfg_w) for w in range(size)]
+    return [[stream_to_binary(and_multiply(a, b)) for b in sw] for a in sx]
 
 
 class TestArrayBuilders:
@@ -258,10 +275,18 @@ class TestArrayBuilders:
         # seeds 2 and 1000 start both generators away from seed 1's states
         cfg_x = LfsrConfig(n, seed=(seed - 1) % (size - 1) + 1)
         cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=((seed ^ 0x5A5A5A) - 1) % (size - 1) + 1)
-        sx = [sng_conventional(UnsignedFixed(n, x), size, cfg_x) for x in range(size)]
-        sw = [sng_conventional(UnsignedFixed(n, w), size, cfg_w) for w in range(size)]
-        want = [[stream_to_binary(and_multiply(a, b)) for b in sw] for a in sx]
-        assert conventional_and_counts(cfg_x, cfg_w).tolist() == want
+        assert conventional_and_counts(cfg_x, cfg_w).tolist() == _scalar_and_counts(cfg_x, cfg_w)
+
+    @pytest.mark.parametrize("taps,seed_x,seed_w", [((3, 2, 1), 7, 3), ((4,), 5, 9),
+                                                    ((6, 3), 1, 40)])
+    def test_conventional_counts_with_repeated_states(self, taps, seed_x, seed_w):
+        # taps that are not primitive revisit states within 2**n cycles: (3, 2, 1)
+        # holds state 7 forever, (4,) rotates, x**6 + x**3 + 1 has period 9
+        n = taps[0]
+        cfg_x, cfg_w = LfsrConfig(n, taps, seed_x), LfsrConfig(n, taps, seed_w)
+        assert max(np.bincount(list(lfsr_states(cfg_x, 1 << n)))) > 2
+        counts = conventional_and_counts(cfg_x, cfg_w)
+        assert counts.dtype == np.int32 and counts.tolist() == _scalar_and_counts(cfg_x, cfg_w)
 
     def test_conventional_counts_width_mismatch(self):
         with pytest.raises(ValueError):
