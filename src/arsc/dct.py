@@ -2,9 +2,11 @@
 
 The fixed-point path reproduces the sign-magnitude MAC unit (mac.mac)
 bit for bit, batched over bands of whole block rows that every bit-width
-shares: each 1D stage gathers one 16-byte row of eight counter-based
-products per sample and lane, sums the rows in int16 and finishes every
-sum with one saturation-table lookup. A float64 path with the same
+shares: each 1D stage gathers one row of counter-based products per
+sample and lane, sums the rows in int16 and finishes every sum with one
+saturation-table lookup. Each stage computes only the coefficient rows and
+columns that hold a kept one of the frequency mask, and gathers only the
+lanes they feed, so a row holds 1, 2, 4 or 8 products. A float64 path with the same
 separable structure, one GEMM per matrix product, serves as the accuracy
 reference and runs once per band. Every 1D stage output is
 scaled by 1/4 before buffering (and re-amplified by 4 in the inverse
@@ -15,7 +17,7 @@ forward+inverse gain is exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -94,9 +96,15 @@ def quantize_coefficients(b: int) -> list[list[SignMagnitude]]:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyMask:
-    """Binary 8x8 frequency-domain mask: 1 keeps a coefficient, 0 zeroes it."""
+    """Binary 8x8 frequency-domain mask: 1 keeps a coefficient, 0 zeroes it.
+
+    kept_rows and kept_cols list the rows (vertical frequencies) and columns
+    (horizontal frequencies) holding a 1; kept_block is the mask on them."""
 
     m: np.ndarray  # (8, 8) read-only int16; given as any numbers equal to 0 or 1
+    kept_rows: tuple[int, ...] = field(init=False, repr=False)
+    kept_cols: tuple[int, ...] = field(init=False, repr=False)
+    kept_block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.m)
@@ -107,6 +115,11 @@ class FrequencyMask:
         m = m.astype(np.int16)
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
+        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        object.__setattr__(self, "kept_rows", tuple(rows.tolist()))
+        object.__setattr__(self, "kept_cols", tuple(cols.tolist()))
+        object.__setattr__(self, "kept_block", m[np.ix_(rows, cols)])
+        self.kept_block.setflags(write=False)
 
     @classmethod
     def allpass(cls) -> "FrequencyMask":
@@ -168,6 +181,7 @@ def idct1d_sc(f, sel: AccuracySelect):
 # multiplier slots of one 2D transform (2 stages x 8 vectors x 8 MACs x
 # 8 terms), each charged the fixed 2**b-cycle schedule
 _TRANSFORM_SLOTS = 2 * N * N * N
+_ALL = tuple(range(N))  # every lane or output of a stage
 # blocks per band of whole block rows. Each stage holds about 1.5 KB of
 # temporaries per block: smaller bands pay more per-band overhead, larger
 # ones outgrow a 2 MB L2 cache (512 beat 256 and 1024 at 256² and 1024²)
@@ -198,35 +212,44 @@ def _product_tables(b: int, inverse: bool) -> tuple[np.ndarray, np.ndarray, tupl
     return rows, post, tuple(np.flatnonzero(mag < 1 << b)[[0, -1]].tolist())
 
 
-def _stage(x: np.ndarray, b: int, inverse: bool):
-    """One 1D MAC stage over axis 1 of (B, 8, 8) signed b-bit samples.
+_ROW_TYPES = {1: np.int16, 2: np.int32, 4: np.int64, 8: np.complex128}
 
-    Bit-identical to eight mac() calls per input vector: lane i gathers the
-    product row of each x[n, i, j], the rows sum exactly in int16 (|sum| <=
-    8 * 2**b <= 8192), and one saturation-table lookup finishes each sum.
-    Output k of the vector x[n, :, j] lands at [n, j, k], so two stages make
-    a 2D transform. Returns (samples, clamp count).
+
+@lru_cache(maxsize=None)
+def _narrow_rows(b: int, inverse: bool, outs: tuple[int, ...]) -> np.ndarray:
+    """The product rows of _product_tables holding only outputs `outs`, in that
+    order, zero-padded to 1, 2, 4 or 8 int16 so that each row stays one
+    _ROW_TYPES scalar; all eight outputs are the rows themselves."""
+    rows = _product_tables(b, inverse)[0]
+    if outs == _ALL:
+        return rows
+    width = 1 << (len(outs) - 1).bit_length()
+    narrow = np.zeros(rows.shape[:2] + (width,), dtype=np.int16)
+    narrow[..., :len(outs)] = rows.view(np.int16)[..., outs]
+    narrow = narrow.view(_ROW_TYPES[width])
+    narrow.setflags(write=False)
+    return narrow
+
+
+def _stage(x: np.ndarray, b: int, inverse: bool, lanes: tuple[int, ...], outs: tuple[int, ...]):
+    """One 1D MAC stage over axis 1 of (B, len(lanes), V) signed b-bit samples.
+
+    Bit-identical to one mac() call per input vector and output k in outs,
+    with zero samples on the lanes missing from `lanes`: x[n, p, j] is the
+    sample on lane lanes[p], whose product row is gathered; the rows sum
+    exactly in int16 (|sum| <= 8 * 2**b <= 8192), and one saturation-table
+    lookup finishes each sum. Output outs[q] of the vector x[n, :, j] lands at
+    [n, j, q], so two stages make a 2D transform. Returns (samples, clamp count).
     """
-    rows, post, (lo, hi) = _product_tables(b, inverse)
+    rows = _narrow_rows(b, inverse, outs)
+    _, post, (lo, hi) = _product_tables(b, inverse)
     idx = x + ((1 << b) - 1)
-    acc = np.take(rows[0], idx[:, 0]).view(np.int16)
-    for i in range(1, N):
-        acc += np.take(rows[i], idx[:, i]).view(np.int16)
-    acc += N << b
+    acc = np.take(rows[lanes[0]], idx[:, 0]).view(np.int16)
+    for p in range(1, len(lanes)):
+        acc += np.take(rows[lanes[p]], idx[:, p]).view(np.int16)
+    acc += N << b  # padding sums to 0, which never clamps
     clamps = int(np.count_nonzero(acc < lo) + np.count_nonzero(acc > hi))
-    return np.take(post, acc).reshape(x.shape), clamps
-
-
-def _transform2d(x: np.ndarray, b: int, inverse: bool):
-    """Separable 2D transform of (B, 8, 8) signed b-bit samples.
-
-    Forward runs columns, then rows, scaling each pass by 1/4; inverse
-    uses the transposed table, amplifies by 4 and mirrors the pass order.
-    Returns (samples, clamp count).
-    """
-    y, c1 = _stage(x.swapaxes(1, 2) if inverse else x, b, inverse)
-    z, c2 = _stage(y, b, inverse)
-    return (z.swapaxes(1, 2) if inverse else z), c1 + c2
+    return np.take(post, acc.reshape(len(x), x.shape[2], -1)[..., :len(outs)]), clamps
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,16 +342,32 @@ def _put(raster: np.ndarray, y: int, blocks: np.ndarray) -> np.ndarray:
 
 
 def _fixed_chunk(pixels: np.ndarray, b: int, mask: FrequencyMask):
+    """Fixed-point pipeline of (B, 8, 8) pixel blocks at width b: (pixels, clamps).
+
+    Each stage runs only what the mask keeps. The forward stages compute the
+    rows and columns of coefficients that hold a kept one, so forward stage 2
+    runs only the kept rows' vectors; the inverse stages skip the lanes those
+    zeroed coefficients and vectors would feed, which add exactly 0. No clamp
+    is lost: a forward sum is at most 2896 * 2**(b-10) in magnitude, inside
+    the unclamped 4 * 2**b - 1, and every inverse output is still computed.
+    """
+    rows, cols = mask.kept_rows, mask.kept_cols
+    if not rows:
+        return np.zeros(pixels.shape, dtype=np.uint8), 0
     # a pixel p is the 10-bit sample p << PIXEL_SHIFT, truncated to b bits
     x = (pixels.astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
-    f, c1 = _transform2d(x, b, inverse=False)
-    v, c2 = _transform2d(apply_mask(f, mask), b, inverse=True)
+    y, c1 = _stage(x, b, False, _ALL, rows)  # [n, column j, row k]
+    f, c2 = _stage(y, b, False, _ALL, cols)  # [n, row k, column l]
+    if not mask.kept_block.all():
+        f *= mask.kept_block
+    y, c3 = _stage(f.swapaxes(1, 2), b, True, cols, _ALL)  # [n, row k, pixel column j]
+    v, c4 = _stage(y, b, True, rows, _ALL)  # [n, j, pixel row i]
     # raw units are 1/1024 of full scale; a pixel step is 4 units. The last
     # inverse stage shifts left by 2, so an unsaturated sample is already a
     # whole pixel step, and a saturated one, +-(2**b - 1), clips to 255 or 0
     # with or without rounding: the shift alone rounds exactly.
-    out = np.clip((v << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255)
-    return out.astype(np.uint8), c1 + c2
+    out = np.clip((v.swapaxes(1, 2) << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255)
+    return out.astype(np.uint8), c1 + c2 + c3 + c4
 
 
 def _reference_chunk(pixels: np.ndarray, mask: FrequencyMask) -> np.ndarray:

@@ -124,6 +124,22 @@ def lfsr_states(cfg: LfsrConfig, count: int) -> Iterator[int]:
         state = lfsr_step(state, cfg)
 
 
+def lfsr_states_array(cfg: LfsrConfig, count: int) -> np.ndarray:
+    """``lfsr_states(cfg, count)`` as an intp array: the next-state table of
+    every register value, built at once, walked by doubling. States [k, 2k)
+    are the k-step successors of states [0, k), and the k-step table composed
+    with itself steps 2k."""
+    state = np.arange(1 << cfg.width)
+    feedback = sum((state >> (tap - 1)) & 1 for tap in cfg.taps) & 1
+    jump = ((state << 1) | feedback) & ((1 << cfg.width) - 1)
+    out = np.full(count, cfg.seed, dtype=np.intp)
+    k = 1
+    while k < count:
+        out[k:2 * k] = jump[out[:min(k, count - k)]]
+        jump, k = jump[jump], 2 * k
+    return out
+
+
 @dataclass(frozen=True)
 class BitStream:
     """Ordered bit sequence encoding a stochastic number.
@@ -287,8 +303,7 @@ def conventional_and_counts(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> np.ndarray:
     if cfg_x.width != cfg_w.width:
         raise ValueError(f"LFSR widths differ: {cfg_x.width} vs {cfg_w.width}")
     size = 1 << cfg_x.width
-    sx = np.fromiter(lfsr_states(cfg_x, size), dtype=np.intp, count=size)
-    sw = np.fromiter(lfsr_states(cfg_w, size), dtype=np.intp, count=size)
+    sx, sw = lfsr_states_array(cfg_x, size), lfsr_states_array(cfg_w, size)
     grid = np.zeros((size + 1, size + 1), dtype=np.int32)
     np.add.at(grid, (sx + 1, sw + 1), 1)
     for v in range(1, size):  # np.cumsum down axis 0 would stride through memory

@@ -16,12 +16,15 @@ from arsc.dct import (
     INTER_STAGE_SHIFT,
     N,
     PARALLELISM,
+    PIXEL_SHIFT,
     SAMPLE_WIDTH,
     PipelineReport,
     _fixed_chunk,
+    _narrow_rows,
+    _product_tables,
     _reference_chunk,
+    _stage,
     _to_blocks,
-    _transform2d,
     apply_mask,
     dct1d_ref,
     dct1d_sc,
@@ -226,6 +229,21 @@ class TestMask:
         )
         once = apply_mask(_signed_samples(np.random.default_rng(raw_seed)), m)
         assert np.array_equal(apply_mask(once, m), once)
+
+    @pytest.mark.parametrize("spec,rows,cols", [
+        (np.ones((8, 8)), range(8), range(8)),
+        (np.zeros((8, 8)), (), ()),
+        (FrequencyMask.lowpass(3).m, range(3), range(3)),
+        (np.eye(8)[[2, 5]].repeat(4, axis=0), range(8), (2, 5)),
+        (np.outer([0, 1, 0, 0, 0, 0, 0, 1], [1, 0, 0, 1, 1, 0, 0, 0]), (1, 7), (0, 3, 4)),
+    ])
+    def test_kept_rows_and_columns(self, spec, rows, cols):
+        m = FrequencyMask(spec)
+        assert m.kept_rows == tuple(rows) and m.kept_cols == tuple(cols)
+        assert np.array_equal(m.kept_block, m.m[np.ix_(rows, cols)])
+        assert not m.kept_block.flags.writeable
+        # every 1 of the mask lies in the kept block
+        assert int(m.kept_block.sum()) == int(m.m.sum())
 
     def test_binary_only(self):
         with pytest.raises(ValueError):
@@ -487,6 +505,19 @@ class TestBatchedEngineOracle:
             assert np.array_equal(got.pixels, want[:h, :w])
 
 
+_ALL = tuple(range(N))
+
+
+def _transform2d(x, b, inverse):
+    """Separable 2D transform of (B, 8, 8) signed b-bit samples: _stage over
+    every lane and output. Forward runs columns, then rows, scaling each pass
+    by 1/4; inverse uses the transposed table, amplifies by 4 and mirrors the
+    pass order. Returns (samples, clamp count)."""
+    y, c1 = _stage(x.swapaxes(1, 2) if inverse else x, b, inverse, _ALL, _ALL)
+    z, c2 = _stage(y, b, inverse, _ALL, _ALL)
+    return (z.swapaxes(1, 2) if inverse else z), c1 + c2
+
+
 def _mac_transform2d(block, b, inverse, width=None):
     """_transform2d of one block on the scalar MAC: dct1d_sc over columns then
     rows, or idct1d_sc over rows then columns; signed raws of `width` bits
@@ -554,12 +585,80 @@ class TestStageKernelOracle:
             assert (got == top).any() and (got == -top).any()
 
 
+def _dense_chunk(pixels, b, mask):
+    """_fixed_chunk without pruning: both dense 2D transforms and the whole mask."""
+    x = (pixels.astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
+    f, c1 = _transform2d(x, b, inverse=False)
+    v, c2 = _transform2d(apply_mask(f, mask), b, inverse=True)
+    return np.clip((v << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255).astype(np.uint8), c1 + c2
+
+
+_IJ = np.indices((N, N))
+_HOLE = np.ones((N, N), dtype=int)
+_HOLE[3], _HOLE[:, 4] = 0, 0
+PRUNING_MASKS = {
+    "allpass": FrequencyMask.allpass(),
+    "lowpass:1": FrequencyMask.lowpass(1),
+    "lowpass:4": FrequencyMask.lowpass(4),
+    # every row and column kept, half the block zeroed
+    "checkerboard": FrequencyMask(1 - _IJ.sum(axis=0) % 2),
+    "anti-diagonal": FrequencyMask(_IJ.sum(axis=0) == N - 1),
+    # an empty middle row and column: kept indices are not a prefix
+    "hole": FrequencyMask(_HOLE),
+    "zero": FrequencyMask(np.zeros((N, N))),
+}
+# full-swing blocks, each saturating inverse stages at every width: random
+# 0/255 pixels, a one-pixel checkerboard and a two-pixel one
+SWING_BLOCKS = np.stack([np.random.default_rng(3).integers(0, 2, (N, N)),
+                         _IJ.sum(axis=0) % 2, (_IJ // 2).sum(axis=0) % 2]).astype(np.uint8) * 255
+
+
+class TestPrunedEngineOracle:
+    """_fixed_chunk, which runs only what the mask keeps, against the dense
+    stage composition and the scalar MAC path."""
+
+    @pytest.mark.parametrize("bits", BITWIDTHS)
+    def test_matches_dense_and_scalar_mac(self, bits, monkeypatch):
+        clamps = []
+
+        def counting_mac(*args, **kwargs):
+            r = mac(*args, **kwargs)
+            clamps.append(r.clamped)
+            return r
+
+        monkeypatch.setattr(arsc.dct, "mac", counting_mac)
+        sel = AccuracySelect.from_bitwidth(bits)
+        rng = np.random.default_rng(bits)
+        many = np.concatenate([SWING_BLOCKS, rng.integers(0, 2, (60, N, N)) * 255,
+                               rng.integers(0, 256, (60, N, N))]).astype(np.uint8)
+        image = np.concatenate(list(SWING_BLOCKS), axis=1)  # blocks side by side
+        seen = {}
+        for name, mask in PRUNING_MASKS.items():
+            got, got_clamps = _fixed_chunk(many, bits, mask)
+            want, want_clamps = _dense_chunk(many, bits, mask)
+            assert np.array_equal(got, want) and got_clamps == want_clamps, name
+            clamps.clear()
+            scalar, _ = _scalar_pipeline(image, sel, mask)
+            got, got_clamps = _fixed_chunk(SWING_BLOCKS, bits, mask)
+            assert np.array_equal(_unblock(got, N, image.shape[1]), scalar), name
+            assert got_clamps == sum(clamps), name
+            seen[name] = got_clamps
+        assert all(seen[name] > 0 for name in ("allpass", "lowpass:4", "checkerboard", "hole"))
+        assert seen["zero"] == 0
+
+
+# output sets of a stage, of every padded row width
+NARROW_OUTS = [(0,), (7,), (0, 1), (2, 6), (0, 1, 2), (1, 4, 7), (0, 1, 2, 3), (0, 1, 2, 3, 4),
+               (1, 2, 4, 5, 7), _ALL]
+
+
 class TestProductTables:
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_rows_match_closed_form_lane_major(self, b, inverse):
-        # each lane's rows must stay contiguous: _stage gathers 16-byte rows per lane
-        rows, _, _ = arsc.dct._product_tables(b, inverse)
+        # each lane's rows must stay contiguous: _stage gathers one row scalar per
+        # lane, of 16 bytes for all eight outputs and of 2, 4 or 8 for fewer
+        rows, _, _ = _product_tables(b, inverse)
         size = 1 << b
         assert rows.shape == (N, 2 * size - 1, 1) and rows.flags.c_contiguous
         signs, weights = arsc.dct._coeff_arrays(b)
@@ -572,6 +671,48 @@ class TestProductTables:
                    for j in range(b))
         want = np.sign(sv) * signs.T[:, None, :] * ones
         assert np.array_equal(rows.view(np.int16), want)
+        assert _narrow_rows(b, inverse, _ALL) is rows
+        for outs in NARROW_OUTS:
+            narrow = _narrow_rows(b, inverse, outs)
+            width = 1 if len(outs) == 1 else 2 if len(outs) == 2 else 4 if len(outs) <= 4 else 8
+            assert narrow.shape == rows.shape and narrow.flags.c_contiguous, outs
+            assert narrow.itemsize == 2 * width and not narrow.flags.writeable, outs
+            products = narrow.view(np.int16)
+            assert np.array_equal(products[..., :len(outs)], want[..., outs]), outs
+            assert not products[..., len(outs):].any(), outs
+
+    @pytest.mark.parametrize("b", BITWIDTHS)
+    def test_only_inverse_sums_can_clamp(self, b):
+        # _fixed_chunk drops the forward outputs the mask zeroes, with their clamps:
+        # exact only while no forward sum can leave the unclamped span. The largest
+        # |sum| of an output takes each lane's largest |product|, as the sample
+        # signs are free.
+        for inverse, bound in ((False, (4 << b) - 1), (True, (1 << (b - 2)) - 1)):
+            rows, _, (lo, hi) = _product_tables(b, inverse)
+            worst = int(np.abs(rows.view(np.int16)).max(axis=1).sum(axis=0).max())
+            assert (lo - (N << b), hi - (N << b)) == (-bound, bound)
+            assert (worst > bound) == inverse, (worst, bound)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("b", [6, 10])
+    def test_pruned_stage_matches_dense(self, b, inverse):
+        # a stage over some lanes and outputs equals the dense stage whose other
+        # lanes hold zeros, restricted to those outputs; with every output kept,
+        # the clamp counts agree too
+        top = (1 << b) - 1
+        rng = np.random.default_rng(b + 20 * inverse)
+        for lanes, outs in [((3,), (0,)), ((0, 5), (1, 2, 7)), ((1, 2, 3, 4, 6), (0, 4)),
+                            (_ALL, (0, 1, 2, 3)), ((0, 1, 2, 3), _ALL), (_ALL, _ALL)]:
+            x = rng.integers(-top, top + 1, size=(40, len(lanes), N)).astype(np.int16)
+            x[0] = top
+            dense = np.zeros((len(x), N, N), dtype=np.int16)
+            dense[:, lanes] = x
+            want, want_clamps = _stage(dense, b, inverse, _ALL, _ALL)
+            got, clamps = _stage(x, b, inverse, lanes, outs)
+            assert got.dtype == np.int16 and got.shape == (len(x), N, len(outs))
+            assert np.array_equal(got, want[..., outs]), (lanes, outs)
+            if outs == _ALL:
+                assert clamps == want_clamps, (lanes, outs)
 
 
 def _unblock(blocks, h, w):

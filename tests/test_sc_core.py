@@ -16,6 +16,7 @@ from arsc.sc_core import (
     conventional_and_counts,
     deterministic_streams,
     lfsr_states,
+    lfsr_states_array,
     lfsr_step,
     prefix_ones,
     prefix_ones_table,
@@ -61,6 +62,22 @@ class TestLfsr:
             for _ in range((1 << 5) - 1):
                 state = lfsr_step(state, cfg)
             assert state == start
+
+    @pytest.mark.parametrize("width", sorted(MAXIMAL_TAPS))
+    def test_states_array_matches_scalar_walk(self, width):
+        # the seed classes the tests use: seed 1, the top state, seeds folded as
+        # verify-mul folds them, and taps that are not primitive
+        size = 1 << width
+        seeds = {1, size - 1, (1000 - 1) % (size - 1) + 1, ((1000 ^ 0x5A5A5A) - 1) % (size - 1) + 1}
+        cfgs = [LfsrConfig(width, taps, seed) for taps in (MAXIMAL_TAPS[width], ALTERNATE_TAPS[width])
+                for seed in sorted(seeds)]
+        cfgs += [LfsrConfig(width, taps, seed) for taps, seed in [((3, 2, 1), 7), ((4,), 5),
+                                                                  ((6, 3), 1)] if taps[0] == width]
+        for cfg in cfgs:
+            for count in (0, 1, 5, size + 3):
+                got = lfsr_states_array(cfg, count)
+                assert got.dtype == np.intp, cfg
+                assert got.tolist() == list(lfsr_states(cfg, count)), (cfg, count)
 
     def test_bad_configs(self):
         with pytest.raises(ValueError):
