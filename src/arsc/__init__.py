@@ -29,7 +29,6 @@ from .dct import (
     FrequencyMask,
     GrayImage,
     PipelineReport,
-    apply_mask,
     dct1d_ref,
     dct1d_sc,
     idct1d_ref,

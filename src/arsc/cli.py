@@ -18,8 +18,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dct import N, FrequencyMask, process_image, process_widths
 from .mac import AccuracySelect, BITWIDTHS
 from .pgm import read_pgm, write_pgm
@@ -35,13 +33,7 @@ from .platform_model import (
     save_platform,
     throughput,
 )
-from .sc_core import (
-    ALTERNATE_TAPS,
-    LfsrConfig,
-    conventional_and_counts,
-    deterministic_streams,
-    prefix_ones_table,
-)
+from .sc_core import ALTERNATE_TAPS, LfsrConfig, verify_multiplier
 
 REPORT_HEADER = "bitwidth,freq_mhz,power_w,psnr_db,latency_s,throughput_fps"
 AGING_HEADER = "year,freq_mhz,bitwidth,throughput_fps,feasible"
@@ -190,41 +182,20 @@ def cmd_verify_mul(args) -> int:
     violations = 0
     rows = []
     for n in range(3, args.max_n + 1):
-        size = 1 << n
-        # gate level: ones of each stream ANDed with unary(w), w = 0..size
-        gate = np.zeros((size, size + 1), dtype=np.int16)
-        np.cumsum(deterministic_streams(n), axis=1, dtype=np.int16, out=gate[:, 1:])
-        product = prefix_ones_table(n, np.arange(size + 1))
-        mismatches = int(np.count_nonzero(product != gate))
-        violations += mismatches
-        pairs = product.size
-        identity_ok = mismatches == 0
-        # errors in units of 4**-n: |p * 2**n - x * w| is exact in int32, and
-        # float(sum) / 4**n / pairs rounds like the mean of the float errors
-        xw = np.multiply.outer(np.arange(size, dtype=np.int32), np.arange(size + 1, dtype=np.int32))
-        cbsc_errs = abs(np.left_shift(product, n, dtype=np.int32) - xw)
-
         # conventional multiplier: two decorrelated LFSR generators
         cfg_x = LfsrConfig(n, seed=_fold_seed(args.seed, n))
         cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=_fold_seed(args.seed ^ 0x5A5A5A, n))
-        counts = conventional_and_counts(cfg_x, cfg_w)
-        conv_errs = abs(np.left_shift(counts, n, dtype=np.int32) - xw[:, :size])
-
-        cbsc_max = int(cbsc_errs.max()) / 4**n
-        cbsc_mean = float(cbsc_errs.sum(dtype=np.int64)) / 4**n / pairs
-        conv_mean = float(conv_errs.sum(dtype=np.int64)) / 4**n / counts.size
-        rows.append(
-            [
-                str(n),
-                str(pairs),
-                "yes" if identity_ok else "no",
-                f"{cbsc_max:.8f}",
-                f"{cbsc_mean:.8f}",
-                f"{conv_mean:.8f}",
-            ]
-        )
+        check = verify_multiplier(n, cfg_x, cfg_w)
+        violations += check.mismatches
+        identity_ok = check.mismatches == 0
+        # float(sum) / 4**n / pairs rounds like the mean of the float errors
+        cbsc_max = check.cbsc_max_err / 4**n
+        cbsc_mean = float(check.cbsc_err_sum) / 4**n / check.pairs
+        conv_mean = float(check.conv_err_sum) / 4**n / 4**n
+        rows.append([str(n), str(check.pairs), "yes" if identity_ok else "no",
+                     f"{cbsc_max:.8f}", f"{cbsc_mean:.8f}", f"{conv_mean:.8f}"])
         print(
-            f"n={n}: pairs={pairs} identity={'ok' if identity_ok else 'VIOLATED'} "
+            f"n={n}: pairs={check.pairs} identity={'ok' if identity_ok else 'VIOLATED'} "
             f"cbsc_max_err={cbsc_max:.6f} cbsc_mean_err={cbsc_mean:.6f} "
             f"conv_mean_err={conv_mean:.6f} "
             f"(cbsc<=conv: {'yes' if cbsc_mean <= conv_mean else 'no'})"
@@ -240,7 +211,7 @@ def cmd_verify_mul(args) -> int:
 
 def _read_rows_csv(path):
     """Measurement rows: CSV with bitwidth,freq_mhz,power_w,latency_s columns."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"empty rows file {path}")
     header = [h.strip() for h in lines[0].split(",")]

@@ -144,12 +144,6 @@ class FrequencyMask:
         return bool(np.array_equal(self.m, other.m))
 
 
-def apply_mask(block, mask: FrequencyMask):
-    """Elementwise product with the mask over an array of one or more 8x8
-    blocks: signed samples (fixed-point batches) or floats (reference)."""
-    return np.asarray(block) * mask.m
-
-
 def dct1d_sc(a, sel: AccuracySelect):
     """Forward 1D transform of 8 samples on the MAC unit.
 

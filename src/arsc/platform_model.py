@@ -333,6 +333,13 @@ def save_platform(cfg: PlatformConfig, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
+def _number(value, key: str) -> float:
+    """A JSON number as a float; float() would also take true, false and "9.5e4"."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)[:40]}")
+    return float(value)
+
+
 def load_platform(path=None) -> PlatformConfig:
     """Load a platform config file, or the bundled FPGA defaults.
 
@@ -342,19 +349,14 @@ def load_platform(path=None) -> PlatformConfig:
         return default_platform()
     try:
         doc = json.loads(Path(path).read_text())
+        cm, pm, anchors = doc["cycle_model"], doc["power_model"], "aging_anchors_years_mhz"
         return PlatformConfig(
-            cycle_model=CycleModel(
-                float(doc["cycle_model"]["c_sc_cycles"]),
-                float(doc["cycle_model"]["c_ovh_cycles"]),
-            ),
-            power_model=PowerModel(
-                float(doc["power_model"]["p_static_w"]),
-                float(doc["power_model"]["p_dyn_w_per_mhz"]),
-            ),
+            cycle_model=CycleModel(*(_number(cm[k], k) for k in ("c_sc_cycles", "c_ovh_cycles"))),
+            power_model=PowerModel(*(_number(pm[k], k) for k in ("p_static_w", "p_dyn_w_per_mhz"))),
             schedule=AgingSchedule(
-                tuple((float(y), float(f)) for y, f in doc["aging_anchors_years_mhz"])
+                tuple((_number(y, anchors), _number(f, anchors)) for y, f in doc[anchors])
             ),
-            base_freq_mhz=float(doc["base_freq_mhz"]),
+            base_freq_mhz=_number(doc["base_freq_mhz"], "base_freq_mhz"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed platform config {path}: {e}") from None

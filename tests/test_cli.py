@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import arsc.cli
+import arsc.sc_core
 from arsc.cli import REPORT_HEADER, VERIFY_HEADER, _fold_seed, main, parse_mask
 from arsc.dct import FrequencyMask, GrayImage, reference_pipeline
 from arsc.pgm import read_pgm, write_pgm
@@ -51,6 +51,31 @@ def small_image(tmp_path):
     p = tmp_path / "in.pgm"
     write_pgm(img, p)
     return p
+
+
+# every number in a platform file, as a path of keys and indices
+PLATFORM_NUMBERS = [
+    ("cycle_model", "c_sc_cycles"),
+    ("power_model", "p_dyn_w_per_mhz"),
+    ("base_freq_mhz",),
+    ("aging_anchors_years_mhz", 1, 1),
+    ("power_model", "p_static_w"),
+    ("cycle_model", "c_ovh_cycles"),
+    ("aging_anchors_years_mhz", 0, 0),
+]
+
+
+def _platform_with(tmp_path, field, value):
+    """The bundled platform saved to a file, with the entry at `field` set to `value`."""
+    path = tmp_path / "p.json"
+    save_platform(default_platform(), path)
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestCompress:
@@ -208,30 +233,26 @@ class TestAging:
         assert exc.value.code == 2
         assert not rep.exists()
 
-    @pytest.mark.parametrize(
-        "field",
-        [
-            ("cycle_model", "c_sc_cycles"),
-            ("power_model", "p_dyn_w_per_mhz"),
-            ("base_freq_mhz",),
-            ("aging_anchors_years_mhz", 1, 1),
-            ("power_model", "p_static_w"),
-        ],
-    )
+    @pytest.mark.parametrize("field", PLATFORM_NUMBERS)
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_platform_refused(self, tmp_path, capsys, field, value):
-        path = tmp_path / "p.json"
-        save_platform(default_platform(), path)
-        doc = json.loads(path.read_text())
-        node = doc
-        for key in field[:-1]:
-            node = node[key]
-        node[field[-1]] = value
-        path.write_text(json.dumps(doc))
+        path = _platform_with(tmp_path, field, value)
         assert main(["aging", "--platform", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("field", PLATFORM_NUMBERS)
+    @pytest.mark.parametrize("value", [True, False, "9.5e4", None])
+    def test_non_number_platform_refused(self, tmp_path, capsys, field, value):
+        # float() would read true as 1.0 and "9.5e4" as 95000.0
+        path = _platform_with(tmp_path, field, value)
+        assert main(["aging", "--platform", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        key = field[0] if field[0] == "aging_anchors_years_mhz" else field[-1]
+        assert f"{key} must be a number, got {json.dumps(value)}" in captured.err
 
 
 class TestVerifyMul:
@@ -269,7 +290,7 @@ class TestVerifyMul:
         assert rep.read_text() == want_report
 
     def test_identity_violation_detected(self, tmp_path, capsys, monkeypatch):
-        real = arsc.cli.prefix_ones_table
+        real = arsc.sc_core.prefix_ones_table
 
         def perturbed(width, count):
             out = real(width, count)
@@ -277,13 +298,29 @@ class TestVerifyMul:
                 out[5, 9] += 1
             return out
 
-        monkeypatch.setattr(arsc.cli, "prefix_ones_table", perturbed)
+        monkeypatch.setattr(arsc.sc_core, "prefix_ones_table", perturbed)
         rep = tmp_path / "v.csv"
         assert main(["verify-mul", "--max-n", "5", "--report", str(rep)]) == 1
         captured = capsys.readouterr()
         identity = [ln.split()[2] for ln in captured.out.splitlines()]
         assert identity == ["identity=ok", "identity=VIOLATED", "identity=ok"]
         assert [r.split(",")[2] for r in rep.read_text().splitlines()[1:]] == ["yes", "no", "yes"]
+        assert captured.err == "error: 1 identity violations\n"
+
+    def test_violation_in_last_block_counted_once(self, capsys, monkeypatch):
+        real = arsc.sc_core.prefix_ones_table
+
+        def perturbed(width, count):
+            out = real(width, count)
+            if width == 10:
+                out[-1, 700] += 1  # operand 1023 is in the last block of rows
+            return out
+
+        monkeypatch.setattr(arsc.sc_core, "prefix_ones_table", perturbed)
+        assert main(["verify-mul", "--max-n", "10"]) == 1
+        captured = capsys.readouterr()
+        identity = [ln.split()[2] for ln in captured.out.splitlines()]
+        assert identity == ["identity=ok"] * 7 + ["identity=VIOLATED"]
         assert captured.err == "error: 1 identity violations\n"
 
     @pytest.mark.parametrize("seed", [0, 2, 7, -5, 123456])
@@ -586,6 +623,15 @@ class TestCalibrate:
         cfg_path = tmp_path / "p.json"
         assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 1
         assert not cfg_path.exists()
+
+    def test_rows_with_utf8_bom(self, tmp_path):
+        # spreadsheet exports often start with a byte-order mark
+        rows, plain = tmp_path / "rows.csv", tmp_path / "plain.csv"
+        rows.write_bytes(b"\xef\xbb\xbf" + ROWS_CSV.encode())
+        plain.write_text(ROWS_CSV)
+        assert main(["calibrate", "--rows", str(rows), "--out", str(tmp_path / "a.json")]) == 0
+        assert main(["calibrate", "--rows", str(plain), "--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
     def test_malformed_config(self, tmp_path, small_image):
         path = tmp_path / "p.json"

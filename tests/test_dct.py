@@ -25,7 +25,6 @@ from arsc.dct import (
     _reference_chunk,
     _stage,
     _to_blocks,
-    apply_mask,
     dct1d_ref,
     dct1d_sc,
     dct2d_ref,
@@ -203,12 +202,12 @@ def _signed_samples(rng):
 class TestMask:
     def test_allpass_identity(self):
         x = _signed_samples(np.random.default_rng(1))
-        out = apply_mask(x, FrequencyMask.allpass())
+        out = x * FrequencyMask.allpass().m
         assert out.dtype == np.int16 and np.array_equal(out, x)
 
     def test_allzero_mask(self):
         x = np.full((3, 8, 8), 100, dtype=np.int16)
-        out = apply_mask(x, FrequencyMask.from_array(np.zeros((8, 8), int)))
+        out = x * FrequencyMask.from_array(np.zeros((8, 8), int)).m
         assert out.dtype == np.int16 and np.all(out == 0)
 
     def test_lowpass_shape(self):
@@ -218,7 +217,7 @@ class TestMask:
 
     def test_reference_array_path(self):
         f = np.arange(64, dtype=float).reshape(8, 8)
-        out = apply_mask(f, FrequencyMask.lowpass(2))
+        out = f * FrequencyMask.lowpass(2).m
         assert out[0, 0] == 0 and out[0, 1] == 1 and out[2, 0] == 0
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**63))
@@ -227,8 +226,8 @@ class TestMask:
         m = FrequencyMask.from_array(
             np.array([(mask_bits >> i) & 1 for i in range(64)]).reshape(8, 8)
         )
-        once = apply_mask(_signed_samples(np.random.default_rng(raw_seed)), m)
-        assert np.array_equal(apply_mask(once, m), once)
+        once = _signed_samples(np.random.default_rng(raw_seed)) * m.m
+        assert np.array_equal(once * m.m, once)
 
     @pytest.mark.parametrize("spec,rows,cols", [
         (np.ones((8, 8)), range(8), range(8)),
@@ -287,7 +286,7 @@ class TestMask:
         f = dct2d_ref(np.full((8, 8), c))
         dc_only = np.zeros((8, 8), int)
         dc_only[0, 0] = 1
-        back = idct2d_ref(apply_mask(f, FrequencyMask.from_array(dc_only)))
+        back = idct2d_ref(f * FrequencyMask.from_array(dc_only).m)
         assert np.max(np.abs(back - c)) < 1e-12
 
 
@@ -498,7 +497,7 @@ class TestBatchedEngineOracle:
             h, w = pixels.shape
             want = np.zeros((h + N, w + N), dtype=np.uint8)
             for by, bx, blk in _padded_blocks(pixels):
-                out = idct2d_ref(apply_mask(dct2d_ref(blk / 256.0), mask)) * 256.0
+                out = idct2d_ref(dct2d_ref(blk / 256.0) * mask.m) * 256.0
                 rounded = np.sign(out) * np.floor(np.abs(out) + 0.5)
                 want[by:by + N, bx:bx + N] = np.clip(rounded, 0, 255)
             got = reference_pipeline(GrayImage(pixels), mask)
@@ -589,7 +588,7 @@ def _dense_chunk(pixels, b, mask):
     """_fixed_chunk without pruning: both dense 2D transforms and the whole mask."""
     x = (pixels.astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
     f, c1 = _transform2d(x, b, inverse=False)
-    v, c2 = _transform2d(apply_mask(f, mask), b, inverse=True)
+    v, c2 = _transform2d(f * mask.m, b, inverse=True)
     return np.clip((v << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255).astype(np.uint8), c1 + c2
 
 

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arsc.sc_core
 from arsc.sc_core import (
     ALTERNATE_TAPS,
     MAXIMAL_TAPS,
     BitStream,
     LfsrConfig,
+    MultiplierCheck,
     UnsignedFixed,
     and_multiply,
     cbsc_multiply,
-    conventional_and_counts,
-    deterministic_streams,
     lfsr_states,
     lfsr_states_array,
     lfsr_step,
@@ -24,6 +24,7 @@ from arsc.sc_core import (
     sng_deterministic,
     stream_to_binary,
     unary_gen,
+    verify_multiplier,
 )
 
 
@@ -267,6 +268,63 @@ class TestCbscMultiply:
         assert table[raws].tolist() == [[prefix_ones(x, n, w) for w in counts] for x in raws]
 
 
+def deterministic_streams(width: int) -> np.ndarray:
+    """``sng_deterministic`` of every raw value 0..2**width-1 at once.
+
+    Row x, column c-1 of the ``(2**width, 2**width)`` int16 result holds the
+    bit emitted at cycle c: x_{width-1-ctz(c)}, and 0 on the last cycle,
+    where ctz(c) = width. The width+1 distinct columns are built once and
+    gathered by ctz with one ``np.take``.
+    """
+    size = 1 << width
+    cycle = np.arange(1, size + 1)
+    ctz = np.log2(cycle & -cycle).astype(np.intp)  # exact: cycle & -cycle is 2**ctz
+    columns = np.zeros((size, width + 1), dtype=np.int16)
+    columns[:, :width] = (np.arange(size)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    return np.take(columns, ctz, axis=1)
+
+
+def conventional_and_counts(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> np.ndarray:
+    """AND-popcounts of two ``sng_conventional`` streams for every operand pair.
+
+    Entry [x, w] of the ``(2**n, 2**n)`` int32 result equals
+    ``stream_to_binary(and_multiply(sng_conventional(x, 2**n, cfg_x),
+    sng_conventional(w, 2**n, cfg_w)))``, i.e. #{i : sx_i < x and sw_i < w}
+    over the first 2**n states of each LFSR. It is the 2D prefix sum of the
+    occupancy grid of (sx_i, sw_i), shifted by one so the bounds are strict;
+    int32 holds every count up to 2**16 (the widest LFSR).
+    """
+    if cfg_x.width != cfg_w.width:
+        raise ValueError(f"LFSR widths differ: {cfg_x.width} vs {cfg_w.width}")
+    size = 1 << cfg_x.width
+    sx, sw = lfsr_states_array(cfg_x, size), lfsr_states_array(cfg_w, size)
+    grid = np.zeros((size + 1, size + 1), dtype=np.int32)
+    np.add.at(grid, (sx + 1, sw + 1), 1)
+    for v in range(1, size):  # np.cumsum down axis 0 would stride through memory
+        grid[v] += grid[v - 1]
+    return grid.cumsum(axis=1, out=grid)[:size, :size]
+
+
+def _full_array_check(n, cfg_x, cfg_w):
+    """verify_multiplier's record from whole (2**n, 2**n + 1) int64 arrays."""
+    size = 1 << n
+    gate = np.zeros((size, size + 1), dtype=np.int64)
+    np.cumsum(deterministic_streams(n), axis=1, out=gate[:, 1:])
+    product = prefix_ones_table(n, np.arange(size + 1)).astype(np.int64)
+    xw = np.multiply.outer(np.arange(size), np.arange(size + 1))
+    cbsc = np.abs(product * size - xw)
+    conv = np.abs(conventional_and_counts(cfg_x, cfg_w) * size - xw[:, :size])
+    return MultiplierCheck(product.size, int(np.count_nonzero(product != gate)),
+                           int(cbsc.max()), int(cbsc.sum()), int(conv.sum()))
+
+
+def _folded_configs(n, seed):
+    """The two LFSR configs verify-mul builds for width n from ``seed``."""
+    size = 1 << n
+    return (LfsrConfig(n, seed=(seed - 1) % (size - 1) + 1),
+            LfsrConfig(n, ALTERNATE_TAPS[n], seed=((seed ^ 0x5A5A5A) - 1) % (size - 1) + 1))
+
+
 def _scalar_and_counts(cfg_x, cfg_w):
     """AND-popcounts of every pair of scalar ``sng_conventional`` streams."""
     size = 1 << cfg_x.width
@@ -308,3 +366,46 @@ class TestArrayBuilders:
     def test_conventional_counts_width_mismatch(self):
         with pytest.raises(ValueError):
             conventional_and_counts(LfsrConfig(4), LfsrConfig(5))
+
+
+class TestVerifyMultiplier:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_full_array_oracle(self, n):
+        for seed in (1, 2, 7, 0, -5, 123456):
+            cfgs = _folded_configs(n, seed)
+            assert verify_multiplier(n, *cfgs) == _full_array_check(n, *cfgs), seed
+
+    @pytest.mark.parametrize("rows", [1, 2, 8, 1 << 11])
+    def test_block_rows_do_not_change_records(self, monkeypatch, rows):
+        want = [_full_array_check(n, *_folded_configs(n, 7)) for n in (3, 6, 10)]
+        monkeypatch.setattr(arsc.sc_core, "VERIFY_ROWS", rows)
+        assert [verify_multiplier(n, *_folded_configs(n, 7)) for n in (3, 6, 10)] == want
+
+    @pytest.mark.parametrize("rows", [1, 2, 64])
+    @pytest.mark.parametrize("taps,seed_x,seed_w", [((3, 2, 1), 7, 3), ((4,), 5, 9),
+                                                    ((6, 3), 1, 40)])
+    def test_repeated_states_span_chunks(self, monkeypatch, rows, taps, seed_x, seed_w):
+        # (3, 2, 1) holds state 7 forever, so all 8 samples fall in the last block
+        n = taps[0]
+        cfg_x, cfg_w = LfsrConfig(n, taps, seed_x), LfsrConfig(n, taps, seed_w)
+        monkeypatch.setattr(arsc.sc_core, "VERIFY_ROWS", rows)
+        assert verify_multiplier(n, cfg_x, cfg_w) == _full_array_check(n, cfg_x, cfg_w)
+
+    @pytest.mark.parametrize("x,w", [(0, 0), (5, 9), (64, 1024), (1023, 0), (1023, 1024)])
+    def test_each_perturbed_entry_counted_once(self, monkeypatch, x, w):
+        # first and last rows and columns, inside and across block edges
+        real = arsc.sc_core.prefix_ones_table
+
+        def perturbed(width, count):
+            out = real(width, count)
+            out[x, w] += 1
+            return out
+
+        monkeypatch.setattr(arsc.sc_core, "prefix_ones_table", perturbed)
+        assert verify_multiplier(10, *_folded_configs(10, 1)).mismatches == 1
+
+    def test_bad_widths_refused(self):
+        with pytest.raises(ValueError, match="LFSR widths 4, 5"):
+            verify_multiplier(4, LfsrConfig(4), LfsrConfig(5))
+        with pytest.raises(ValueError, match="at most 14"):
+            verify_multiplier(15, LfsrConfig(15), LfsrConfig(15, ALTERNATE_TAPS[15]))
