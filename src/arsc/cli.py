@@ -14,6 +14,7 @@ seeds its LFSR generators); report files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -272,6 +273,7 @@ def nonnegative_int(text: str) -> int:
     return v
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arsc",
@@ -288,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, choices=BITWIDTHS, default=10, help="accuracy bit-width")
     p.add_argument("--mask", default="lowpass:4", help="allpass | lowpass:K | file:PATH")
     p.add_argument("--platform", type=Path, help="platform config (default: bundled FPGA fit)")
-    p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("sweep", parents=[common], help="per-bit-width operating point table")
     p.add_argument("--in", dest="input", required=True, type=Path, help="input PGM (P5)")
@@ -296,33 +297,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=finite_positive_float, default=DEFAULT_TARGET_FPS,
                    help="target throughput (fps)")
     p.add_argument("--mask", default="lowpass:4", help="allpass | lowpass:K | file:PATH")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("aging", parents=[common], help="aged clock and bit-width per year")
     p.add_argument("--platform", type=Path, help="platform config (default: bundled FPGA fit)")
     p.add_argument("--target", type=finite_positive_float, default=DEFAULT_TARGET_FPS,
                    help="target throughput (fps)")
     p.add_argument("--years", type=nonnegative_int, default=10, help="last year to evaluate")
-    p.set_defaults(func=cmd_aging)
 
     p = sub.add_parser("verify-mul", parents=[common], help="exhaustive multiplier verification")
     p.add_argument("--max-n", type=int, choices=range(3, 11), default=8, metavar="N",
                    help="largest operand width to sweep (3..10)")
     p.add_argument("--seed", type=int, default=1, help="LFSR seed (default 1)")
-    p.set_defaults(func=cmd_verify_mul)
 
     p = sub.add_parser("calibrate", help="fit platform models from a rows CSV")
     p.add_argument("--rows", required=True, type=Path,
                    help="CSV with bitwidth,freq_mhz,power_w,latency_s columns")
     p.add_argument("--out", required=True, type=output_path, help="platform config to write")
-    p.set_defaults(func=cmd_calibrate)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up by name at each call, so a command replaced after the parser was
+    # built (a wrapper that times it, say) is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except CalibrationError as e:
         print(f"calibration error: {e}", file=sys.stderr)
         return 1

@@ -311,9 +311,10 @@ class PipelineReport:
 def _to_blocks(pixels: np.ndarray) -> np.ndarray:
     """(B, 8, 8) row-major blocks of the image, edge-padded to whole blocks."""
     h, w = pixels.shape
-    padded = np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
-    rows, cols = padded.shape[0] // N, padded.shape[1] // N
-    return padded.reshape(rows, N, cols, N).swapaxes(1, 2).reshape(-1, N, N)
+    if h % N or w % N:  # np.pad copies the band even when there is nothing to pad
+        pixels = np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
+    rows, cols = pixels.shape[0] // N, pixels.shape[1] // N
+    return pixels.reshape(rows, N, cols, N).swapaxes(1, 2).reshape(-1, N, N)
 
 
 def _bands(pixels: np.ndarray):

@@ -127,6 +127,13 @@ class PlatformConfig:
     def __post_init__(self):
         if not 0 < self.base_freq_mhz < math.inf:
             raise ValueError(f"base_freq_mhz must be positive and finite, got {self.base_freq_mhz}")
+        # finite coefficients can still overflow, and every report would read inf or nan
+        for b in BITWIDTHS:
+            if not math.isfinite(cycles := self.cycle_model.cycles_per_frame(b)):
+                raise ValueError(f"cycle_model overflows: {cycles} cycles per frame at {b} bits")
+        if not math.isfinite(watts := self.power_model.power(self.base_freq_mhz)):
+            raise ValueError(f"power_model overflows: {watts} W at the "
+                             f"{self.base_freq_mhz:g} MHz base clock")
 
 
 def _base_freq(rows) -> float:
@@ -333,11 +340,30 @@ def save_platform(cfg: PlatformConfig, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
+_JSON_KINDS = {dict: "an object", list: "an array"}
+
+
+def _typed(value, kind: type, key: str):
+    """value, which must be a JSON object (dict) or array (list); indexing or
+    unpacking any other value would fail with a message that names no key."""
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)[:40]}")
+    return value
+
+
 def _number(value, key: str) -> float:
     """A JSON number as a float; float() would also take true, false and "9.5e4"."""
     if type(value) not in (int, float):
         raise ValueError(f"{key} must be a number, got {json.dumps(value)[:40]}")
     return float(value)
+
+
+def _anchor(value, key: str) -> tuple[float, float]:
+    """One (years, MHz) aging anchor, a JSON array of two numbers."""
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"{key} entries must be [years, MHz] pairs, "
+                         f"got {json.dumps(value)[:40]}")
+    return _number(value[0], key), _number(value[1], key)
 
 
 def load_platform(path=None) -> PlatformConfig:
@@ -348,15 +374,20 @@ def load_platform(path=None) -> PlatformConfig:
     if path is None:
         return default_platform()
     try:
-        doc = json.loads(Path(path).read_text())
-        cm, pm, anchors = doc["cycle_model"], doc["power_model"], "aging_anchors_years_mhz"
+        doc = _typed(json.loads(Path(path).read_text()), dict, "top level")
+        cm = _typed(doc["cycle_model"], dict, "cycle_model")
+        pm = _typed(doc["power_model"], dict, "power_model")
+        anchors = "aging_anchors_years_mhz"
         return PlatformConfig(
             cycle_model=CycleModel(*(_number(cm[k], k) for k in ("c_sc_cycles", "c_ovh_cycles"))),
             power_model=PowerModel(*(_number(pm[k], k) for k in ("p_static_w", "p_dyn_w_per_mhz"))),
             schedule=AgingSchedule(
-                tuple((_number(y, anchors), _number(f, anchors)) for y, f in doc[anchors])
-            ),
+                tuple(_anchor(a, anchors) for a in _typed(doc[anchors], list, anchors))),
             base_freq_mhz=_number(doc["base_freq_mhz"], "base_freq_mhz"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except KeyError as e:
+        raise ValueError(f"malformed platform config {path}: missing key {e}") from None
+    except RecursionError:
+        raise ValueError(f"malformed platform config {path}: nested too deeply") from None
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed platform config {path}: {e}") from None

@@ -315,8 +315,7 @@ def verify_multiplier(n: int, cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> Multiplie
     sw, k = lfsr_states_array(cfg_w, size)[order], np.searchsorted(sx[order], w)
     most = int(np.diff(k[::rows]).max())  # rows + 1 where the seed state repeats
 
-    gate = np.zeros((rows, size + 1), dtype=np.int16)
-    streams, counts = np.empty((2, rows, size), dtype=np.int16)
+    streams, counts, step = np.empty((3, rows, size), dtype=np.int16)
     xw, err = np.empty((2, rows, size + 1), dtype=np.int32)
     scan, spare = np.zeros((2, most + 1, size), dtype=np.int16)  # row 0: c[k[x0]]
     conv = err[:, :size]
@@ -324,10 +323,17 @@ def verify_multiplier(n: int, cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> Multiplie
     for x0 in range(0, size, rows):
         x1 = x0 + rows
         np.take(columns[x0:x1], ctz, axis=1, out=streams, mode="clip")
-        np.cumsum(streams, axis=1, dtype=np.int16, out=gate[:, 1:])
-        mismatches += int(np.count_nonzero(np.not_equal(product[x0:x1], gate, out=err)))
+        # P[x, w] counts stream x's first w bits for all w iff P[x, 0] = 0 and each increment
+        # is the emitted bit. Increments may wrap in int16, but P and every count (0..2**14)
+        # then agree mod 2**16 within one int16 range, so are equal; failing rows get counted
+        block = product[x0:x1]
+        np.subtract(block[:, 1:], block[:, :-1], out=step)
+        bad = np.flatnonzero((step != streams).any(axis=1) | (block[:, 0] != 0))
+        gate = np.cumsum(streams[bad], axis=1, dtype=np.int16)
+        mismatches += int(np.count_nonzero(block[bad, 0]))
+        mismatches += int(np.count_nonzero(block[bad, 1:] != gate))
         np.multiply.outer(w[x0:x1], w, out=xw)
-        np.left_shift(product[x0:x1], n, out=err, dtype=np.int32)
+        np.left_shift(block, n, out=err, dtype=np.int32)
         np.abs(np.subtract(err, xw, out=err), out=err)
         cbsc_max, cbsc_sum = max(cbsc_max, int(err.max())), cbsc_sum + int(err.sum(dtype=np.int64))
         # the block's samples, scanned by doubling from the carried row 0

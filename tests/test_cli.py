@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import arsc.cli
 import arsc.sc_core
-from arsc.cli import REPORT_HEADER, VERIFY_HEADER, _fold_seed, main, parse_mask
+from arsc.cli import REPORT_HEADER, VERIFY_HEADER, _fold_seed, build_parser, main, parse_mask
 from arsc.dct import FrequencyMask, GrayImage, reference_pipeline
 from arsc.pgm import read_pgm, write_pgm
 from arsc.platform_model import (
@@ -253,6 +254,75 @@ class TestAging:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         key = field[0] if field[0] == "aging_anchors_years_mhz" else field[-1]
         assert f"{key} must be a number, got {json.dumps(value)}" in captured.err
+
+
+    @pytest.mark.parametrize("field,value,message", [
+        (None, "[1, 2]", "top level must be an object, got [1, 2]"),
+        (("aging_anchors_years_mhz", 0), [0.0, 85.7, 1],
+         "aging_anchors_years_mhz entries must be [years, MHz] pairs, got [0.0, 85.7, 1]"),
+        (None, '{"cycle_model": 5}', "cycle_model must be an object, got 5"),
+        (None, "[" * 100000, "nested too deeply"),
+    ], ids=["top-level-array", "three-value-anchor", "number-for-model", "deep-nesting"])
+    def test_platform_structure_error_names_the_key(self, tmp_path, capsys, field, value,
+                                                    message):
+        if field is None:
+            path = tmp_path / "p.json"
+            path.write_text(value)
+        else:
+            path = _platform_with(tmp_path, field, value)
+        assert main(["aging", "--platform", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed platform config {path}: {message}\n"
+
+
+# finite platform numbers whose derived cycles or power overflow to inf
+HUGE_MODELS = [
+    (("cycle_model", "c_sc_cycles"), "cycle_model overflows: inf cycles per frame at 10 bits"),
+    (("power_model", "p_dyn_w_per_mhz"), "power_model overflows: inf W at the 85.7 MHz base clock"),
+]
+
+
+@pytest.mark.parametrize("field,message", HUGE_MODELS, ids=["cycles", "power"])
+@pytest.mark.parametrize("command", ["sweep", "compress", "aging"])
+def test_huge_platform_models_refused(tmp_path, small_image, capsys, command, field, message):
+    path = _platform_with(tmp_path, field, 1e308)
+    rep, out = tmp_path / "r.csv", tmp_path / "out.pgm"
+    argv = {"sweep": ["sweep", "--in", str(small_image)],
+            "compress": ["compress", "--in", str(small_image), "--out", str(out)],
+            "aging": ["aging"]}[command]
+    assert main([*argv, "--platform", str(path), "--report", str(rep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed platform config {path}: {message}\n"
+    assert not rep.exists() and not out.exists()
+
+
+def test_parser_built_once_survives_usage_errors(tmp_path, small_image, capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", "--in", str(small_image), "--out", str(tmp_path / "o.pgm"),
+              "--bits", "7", "--mask", "allpass", "--nope"])
+    assert exc.value.code == 2
+    rows = tmp_path / "rows.csv"
+    rows.write_text(ROWS_CSV)
+    # every command parses and runs after it, with its own defaults, not earlier values
+    assert main(["compress", "--in", str(small_image), "--out", str(tmp_path / "o.pgm")]) == 0
+    assert "bitwidth: 10  mask: lowpass:4" in capsys.readouterr().out
+    for argv in (["sweep", "--in", str(small_image)], ["aging", "--years", "1"],
+                 ["verify-mul", "--max-n", "3"],
+                 ["calibrate", "--rows", str(rows), "--out", str(tmp_path / "p.json")]):
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().err.count("error") == 0
+
+
+def test_command_replaced_after_the_parser_is_built_runs(monkeypatch):
+    # the parser holds no command function, so a wrapper set later (a tracer's) runs
+    build_parser()
+    years = []
+    monkeypatch.setattr(arsc.cli, "cmd_aging", lambda args: years.append(args.years) or 0)
+    assert main(["aging", "--years", "3"]) == 0
+    assert years == [3]
 
 
 class TestVerifyMul:

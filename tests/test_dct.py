@@ -756,6 +756,16 @@ class TestBands:
             assert reference_pipeline(GrayImage(pixels), mask) == ref, shape
 
 
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 24), (9, 8), (8, 13), (1, 1), (23, 40)])
+    def test_to_blocks_edge_pads_only_partial_blocks(self, shape):
+        pixels = np.random.default_rng(3).integers(0, 256, size=shape).astype(np.uint8)
+        h, w = shape
+        padded = np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
+        want = [padded[r:r + N, c:c + N] for r in range(0, padded.shape[0], N)
+                for c in range(0, padded.shape[1], N)]
+        assert np.array_equal(_to_blocks(pixels), want)
+
+
 class TestGrayImage:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -305,12 +305,15 @@ def conventional_and_counts(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> np.ndarray:
     return grid.cumsum(axis=1, out=grid)[:size, :size]
 
 
-def _full_array_check(n, cfg_x, cfg_w):
-    """verify_multiplier's record from whole (2**n, 2**n + 1) int64 arrays."""
+def _full_array_check(n, cfg_x, cfg_w, product=None):
+    """verify_multiplier's record from whole (2**n, 2**n + 1) int64 arrays, for the
+    product table ``product`` (default ``prefix_ones_table``)."""
     size = 1 << n
     gate = np.zeros((size, size + 1), dtype=np.int64)
     np.cumsum(deterministic_streams(n), axis=1, out=gate[:, 1:])
-    product = prefix_ones_table(n, np.arange(size + 1)).astype(np.int64)
+    if product is None:
+        product = prefix_ones_table(n, np.arange(size + 1))
+    product = product.astype(np.int64)
     xw = np.multiply.outer(np.arange(size), np.arange(size + 1))
     cbsc = np.abs(product * size - xw)
     conv = np.abs(conventional_and_counts(cfg_x, cfg_w) * size - xw[:, :size])
@@ -368,6 +371,22 @@ class TestArrayBuilders:
             conventional_and_counts(LfsrConfig(4), LfsrConfig(5))
 
 
+def _edited_table_mismatches(monkeypatch, edit, n=10):
+    """Mismatches verify_multiplier finds at width n when ``edit`` changes its product
+    table in place; the whole record must equal the oracle's on the same table."""
+
+    def edited(width, count):
+        table = prefix_ones_table(width, count)
+        edit(table)
+        return table
+
+    monkeypatch.setattr(arsc.sc_core, "prefix_ones_table", edited)
+    cfgs = _folded_configs(n, 1)
+    got = verify_multiplier(n, *cfgs)
+    assert got == _full_array_check(n, *cfgs, product=edited(n, np.arange((1 << n) + 1)))
+    return got.mismatches
+
+
 class TestVerifyMultiplier:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_matches_full_array_oracle(self, n):
@@ -403,6 +422,80 @@ class TestVerifyMultiplier:
 
         monkeypatch.setattr(arsc.sc_core, "prefix_ones_table", perturbed)
         assert verify_multiplier(10, *_folded_configs(10, 1)).mismatches == 1
+
+    # the product table is checked by its per-cycle increments and its w = 0 column;
+    # each edit below must still be counted entry by entry, as the oracle counts it
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_exact_table_sums_no_row(self, monkeypatch, n):
+        # the gate counts are summed only for rows whose increments fail the check
+        summed, cumsum = [], np.cumsum
+
+        def spy(a, *args, **kwargs):
+            summed.append(len(a))
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", spy)
+        assert verify_multiplier(n, *_folded_configs(n, 1)).mismatches == 0
+        assert summed and set(summed) == {0}
+
+    @pytest.mark.parametrize("x", [0, 77, 1023])
+    def test_whole_row_offset(self, monkeypatch, x):
+        # every increment still equals the emitted bit; only P[x, 0] != 0 shows the row
+        def edit(table):
+            table[x] += 1
+
+        assert _edited_table_mismatches(monkeypatch, edit) == 1025
+
+    @pytest.mark.parametrize("k", [1, 2, 511, 512, 1024])
+    def test_step_from_w_on(self, monkeypatch, k):
+        def edit(table):
+            table[77, k:] += 1
+
+        assert _edited_table_mismatches(monkeypatch, edit) == 1025 - k
+
+    @pytest.mark.parametrize("a,b", [(3, 4), (3, 700), (0, 1024)])
+    def test_two_perturbations_in_one_row(self, monkeypatch, a, b):
+        def edit(table):
+            table[300, a] += 1
+            table[300, b] -= 1
+
+        assert _edited_table_mismatches(monkeypatch, edit) == 2
+
+    def test_wrapping_rows(self, monkeypatch):
+        # entries near +-32767, where the int16 increments wrap: row 600 wraps
+        # negative from w = 100 on, row 601 alternates 32767 and -32768 (increments
+        # +-1 after wrapping), row 602 is offset so that its w = 0 entry alone shows it
+        def edit(table):
+            table[600, 100:] += 32767
+            table[601, 1::2], table[601, 2::2] = 32767, -32768
+            table[602] += 32760
+
+        assert _edited_table_mismatches(monkeypatch, edit) == (1025 - 100) + 1024 + 1025
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_rows_of_streams_one_cycle_off(self, monkeypatch, shift):
+        # each row counts its own stream one cycle late or early, so its increments
+        # equal the stream's bits at the neighbouring cycle, not at their own
+        rows = [1, 300, 1023]
+
+        def edit(table):
+            moved = np.roll(deterministic_streams(10)[rows], shift, axis=1)
+            table[rows, 1:] = np.cumsum(moved, axis=1)
+
+        assert _edited_table_mismatches(monkeypatch, edit) > 0
+
+    @pytest.mark.parametrize("rows", [1, 2, 8, 1 << 11])
+    def test_edits_in_first_and_last_blocks(self, monkeypatch, rows):
+        monkeypatch.setattr(arsc.sc_core, "VERIFY_ROWS", rows)
+
+        def edit(table):
+            table[0] += 1
+            table[1, 1:] -= 1
+            table[1022, 1023] += 1
+            table[1023, 600:] += 1
+
+        assert _edited_table_mismatches(monkeypatch, edit) == 1025 + 1024 + 1 + 425
 
     def test_bad_widths_refused(self):
         with pytest.raises(ValueError, match="LFSR widths 4, 5"):
