@@ -30,13 +30,10 @@ from .dct import (
     GrayImage,
     PipelineReport,
     dct1d_ref,
-    dct1d_sc,
     idct1d_ref,
-    idct1d_sc,
     process_image,
     process_widths,
     psnr,
-    quantize_coefficients,
 )
 from .platform_model import (
     AgingSchedule,

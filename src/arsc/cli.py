@@ -80,7 +80,7 @@ def parse_mask(spec: str) -> FrequencyMask:
             rows.append([int(c) for c in cells])
         if len(rows) != N:
             raise ValueError(f"mask file {path}: {len(rows)} rows, expected {N}")
-        return FrequencyMask.from_array(rows)
+        return FrequencyMask(rows)
     raise ValueError(f"unknown mask spec {spec!r} (allpass, lowpass:K, file:PATH)")
 
 
@@ -96,6 +96,15 @@ def _fmt(v: float, places: int = 6) -> str:
 def _fold_seed(seed: int, width: int) -> int:
     # any integer maps to a nonzero width-bit LFSR state
     return (seed - 1) % ((1 << width) - 1) + 1
+
+
+def _finite_rows(header: str, rows):
+    """rows, refused if finite inputs overflowed a platform number in one (PSNR may be inf)."""
+    for row in rows:
+        for name, cell in zip(header.split(","), row):
+            if cell in ("inf", "nan") and name != "psnr_db":
+                raise ValueError(f"{name} overflows: {cell} at {header.split(',')[0]} {row[0]}")
+    return rows
 
 
 def _metric_row(cfg: PlatformConfig, b: int, freq: float, psnr_db: float):
@@ -118,6 +127,8 @@ def cmd_compress(args) -> int:
     cfg = load_platform(args.platform)
 
     report = process_image(img, sel, mask)
+    row = _metric_row(cfg, args.bits, cfg.base_freq_mhz, report.psnr_vs_reference)
+    rows = _finite_rows(REPORT_HEADER, [row] if args.report else [])  # before any output
     write_pgm(report.output, args.output)
 
     print(f"input: {args.input} ({img.width}x{img.height})")
@@ -129,8 +140,7 @@ def cmd_compress(args) -> int:
     print(f"wrote: {args.output}")
 
     if args.report:
-        row = _metric_row(cfg, args.bits, cfg.base_freq_mhz, report.psnr_vs_reference)
-        _write_report(args.report, REPORT_HEADER, [row])
+        _write_report(args.report, REPORT_HEADER, rows)
     return 0
 
 
@@ -140,12 +150,11 @@ def cmd_sweep(args) -> int:
     cfg = load_platform(args.platform)
 
     reports = process_widths(img, [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS], mask)
-    rows = []
+    freqs = [min_frequency_for_throughput(cfg.cycle_model, b, args.target) for b in BITWIDTHS]
+    rows = _finite_rows(REPORT_HEADER, [_metric_row(cfg, b, freq, rep.psnr_vs_reference)
+                                        for b, freq, rep in zip(BITWIDTHS, freqs, reports)])
     print(REPORT_HEADER)
-    for b, rep in zip(BITWIDTHS, reports):
-        freq = min_frequency_for_throughput(cfg.cycle_model, b, args.target)
-        row = _metric_row(cfg, b, freq, rep.psnr_vs_reference)
-        rows.append(row)
+    for b, freq, row in zip(BITWIDTHS, freqs, rows):
         print(",".join(row))
         if freq > cfg.base_freq_mhz:
             print(f"warning: {b}-bit needs {_fmt(freq, 4)} MHz, above the "
@@ -159,8 +168,8 @@ def cmd_sweep(args) -> int:
 def cmd_aging(args) -> int:
     cfg = load_platform(args.platform)
     rows = []
-    # every row is computed before any is printed, so a year outside the
-    # schedule fails with empty stdout
+    # every row is computed and checked before any is printed, so a year outside
+    # the schedule or an overflow fails with empty stdout
     for year in range(args.years + 1):
         freq = frequency_at_year(cfg.schedule, float(year))
         b = min_bitwidth_for_throughput(cfg.cycle_model, freq, args.target)
@@ -170,6 +179,7 @@ def cmd_aging(args) -> int:
             tp = throughput(cfg.cycle_model, b, freq)
             row = [str(year), _fmt(freq, 4), str(b), _fmt(tp, 4), "yes"]
         rows.append(row)
+    _finite_rows(AGING_HEADER, rows)
     print(AGING_HEADER)
     for row in rows:
         print(",".join(row))

@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mac import AccuracySelect, SignMagnitude, mac
-from .sc_core import UnsignedFixed, prefix_ones_table
+from .mac import AccuracySelect
+from .sc_core import prefix_ones_table
 
 N = 8
 SAMPLE_WIDTH = 10          # m: buffer width of every pipeline stage
@@ -68,32 +68,6 @@ def idct2d_ref(block) -> np.ndarray:
     return c.T @ np.asarray(block, dtype=np.float64) @ c
 
 
-@lru_cache(maxsize=None)
-def _coeff_arrays(b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient table at width b as (signs, scaled weights) arrays."""
-    c = dct_basis()
-    signs = np.where(c < 0, -1, 1).astype(np.int64)
-    # round(|c| * 2**b), ties away from zero
-    weights = np.floor(np.abs(c) * (1 << b) + 0.5).astype(np.int64)
-    signs.setflags(write=False)
-    weights.setflags(write=False)
-    return signs, weights
-
-
-def quantize_coefficients(b: int) -> list[list[SignMagnitude]]:
-    """Transform coefficients as b-bit sign-magnitude values.
-
-    Entry (k, i) is the rounded basis factor; every magnitude is <= 1.
-    """
-    if not 6 <= b <= 10:
-        raise ValueError(f"coefficient width {b} out of range 6..10")
-    signs, weights = _coeff_arrays(b)
-    return [
-        [SignMagnitude(int(signs[k, i]), UnsignedFixed(b, int(weights[k, i]))) for i in range(N)]
-        for k in range(N)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class FrequencyMask:
     """Binary 8x8 frequency-domain mask: 1 keeps a coefficient, 0 zeroes it.
@@ -134,48 +108,17 @@ class FrequencyMask:
         m[:k, :k] = 1
         return cls(m)
 
-    @classmethod
-    def from_array(cls, a) -> "FrequencyMask":
-        return cls(np.asarray(a))
-
     def __eq__(self, other):
         if not isinstance(other, FrequencyMask):
             return NotImplemented
         return bool(np.array_equal(self.m, other.m))
 
 
-def dct1d_sc(a, sel: AccuracySelect):
-    """Forward 1D transform of 8 samples on the MAC unit.
-
-    Returns (outputs, cycles); outputs are scaled by 1/4 before storage.
-    """
-    table = quantize_coefficients(sel.bitwidth)
-    outputs = []
-    cycles = 0
-    for k in range(N):
-        r = mac(a, table[k], sel, result_shift=INTER_STAGE_SHIFT)
-        outputs.append(r.value)
-        cycles += r.cycles_fixed
-    return outputs, cycles
-
-
-def idct1d_sc(f, sel: AccuracySelect):
-    """Inverse 1D transform: transposed coefficients, compensating gain 4."""
-    table = quantize_coefficients(sel.bitwidth)
-    outputs = []
-    cycles = 0
-    for i in range(N):
-        column = [table[k][i] for k in range(N)]
-        r = mac(f, column, sel, result_shift=-INTER_STAGE_SHIFT)
-        outputs.append(r.value)
-        cycles += r.cycles_fixed
-    return outputs, cycles
-
-
 # multiplier slots of one 2D transform (2 stages x 8 vectors x 8 MACs x
 # 8 terms), each charged the fixed 2**b-cycle schedule
 _TRANSFORM_SLOTS = 2 * N * N * N
 _ALL = tuple(range(N))  # every lane or output of a stage
+_ROW_TYPES = {1: np.int16, 2: np.int32, 4: np.int64, 8: np.complex128}  # by products per row
 # blocks per band of whole block rows. Each stage holds about 1.5 KB of
 # temporaries per block: smaller bands pay more per-band overhead, larger
 # ones outgrow a 2 MB L2 cache (512 beat 256 and 1024 at 256² and 1024²)
@@ -183,46 +126,34 @@ CHUNK_BLOCKS = 512
 
 
 @lru_cache(maxsize=None)
-def _product_tables(b: int, inverse: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """Product rows, saturation table and clamp bounds of one direction at width b.
+def _product_rows(b: int, inverse: bool, outs: tuple[int, ...]) -> np.ndarray:
+    """Counter-based product rows of outputs `outs` of one direction at width b.
 
-    Row sv + 2**b - 1 of lane i is one 16-byte complex128 scalar holding the
-    eight int16 products sign(sv) * csign[k, i] * prefix_ones(|sv|, b, w[k, i])
-    of a signed b-bit sample sv (transposed coefficients if inverse). Entry
-    acc + 8 * 2**b of the saturation table is |acc| >> 2 (<< 2 if inverse),
-    clamped to 2**b - 1, signed as acc; the bounds are its unclamped span.
-    """
-    csigns, weights = _coeff_arrays(b)
-    if inverse:
-        csigns, weights = csigns.T, weights.T
-    prod = prefix_ones_table(b, weights.T) * csigns.T  # [|sv|, lane i, k]
+    Row sv + 2**b - 1 of lane i is one _ROW_TYPES scalar: the int16 products
+    sign(sv) * sign(c[k, i]) * prefix_ones(|sv|, b, round(|c[k, i]| * 2**b)) of a
+    signed b-bit sample sv for k in `outs`, in that order, zero-padded to 1, 2, 4
+    or 8 products; c is the basis, transposed if inverse."""
+    c = dct_basis().T if inverse else dct_basis()
+    coeffs = np.zeros((1 << (len(outs) - 1).bit_length(), N))  # padding weighs 0
+    coeffs[:len(outs)] = c[list(outs)]
+    # round(|c| * 2**b), ties away from zero
+    weights = np.floor(np.abs(coeffs) * (1 << b) + 0.5).astype(np.int64)
+    prod = prefix_ones_table(b, weights.T) * np.where(coeffs < 0, -1, 1).T  # [|sv|, lane i, k]
     signed = np.concatenate([-prod[:0:-1], prod]).astype(np.int16)
-    rows = signed.swapaxes(0, 1).copy().view(np.complex128)  # C order: each lane contiguous
-    acc = np.arange(-N << b, (N << b) + 1)
-    mag = np.abs(acc) << INTER_STAGE_SHIFT if inverse else np.abs(acc) >> INTER_STAGE_SHIFT
-    post = (np.sign(acc) * np.minimum(mag, (1 << b) - 1)).astype(np.int16)
+    rows = signed.swapaxes(0, 1).copy().view(_ROW_TYPES[len(coeffs)])  # C order: lanes contiguous
     rows.setflags(write=False)
-    post.setflags(write=False)
-    return rows, post, tuple(np.flatnonzero(mag < 1 << b)[[0, -1]].tolist())
-
-
-_ROW_TYPES = {1: np.int16, 2: np.int32, 4: np.int64, 8: np.complex128}
+    return rows
 
 
 @lru_cache(maxsize=None)
-def _narrow_rows(b: int, inverse: bool, outs: tuple[int, ...]) -> np.ndarray:
-    """The product rows of _product_tables holding only outputs `outs`, in that
-    order, zero-padded to 1, 2, 4 or 8 int16 so that each row stays one
-    _ROW_TYPES scalar; all eight outputs are the rows themselves."""
-    rows = _product_tables(b, inverse)[0]
-    if outs == _ALL:
-        return rows
-    width = 1 << (len(outs) - 1).bit_length()
-    narrow = np.zeros(rows.shape[:2] + (width,), dtype=np.int16)
-    narrow[..., :len(outs)] = rows.view(np.int16)[..., outs]
-    narrow = narrow.view(_ROW_TYPES[width])
-    narrow.setflags(write=False)
-    return narrow
+def _saturation(b: int, inverse: bool) -> tuple[np.ndarray, tuple[int, int]]:
+    """Saturation table of one direction at width b and its unclamped span: entry
+    acc + 8 * 2**b is |acc| >> 2 (<< 2 if inverse), clamped to 2**b - 1, signed as acc."""
+    acc = np.arange(-N << b, (N << b) + 1)
+    mag = np.abs(acc) << INTER_STAGE_SHIFT if inverse else np.abs(acc) >> INTER_STAGE_SHIFT
+    post = (np.sign(acc) * np.minimum(mag, (1 << b) - 1)).astype(np.int16)
+    post.setflags(write=False)
+    return post, tuple(np.flatnonzero(mag < 1 << b)[[0, -1]].tolist())
 
 
 def _stage(x: np.ndarray, b: int, inverse: bool, lanes: tuple[int, ...], outs: tuple[int, ...]):
@@ -235,8 +166,8 @@ def _stage(x: np.ndarray, b: int, inverse: bool, lanes: tuple[int, ...], outs: t
     lookup finishes each sum. Output outs[q] of the vector x[n, :, j] lands at
     [n, j, q], so two stages make a 2D transform. Returns (samples, clamp count).
     """
-    rows = _narrow_rows(b, inverse, outs)
-    _, post, (lo, hi) = _product_tables(b, inverse)
+    rows = _product_rows(b, inverse, outs)
+    post, (lo, hi) = _saturation(b, inverse)
     idx = x + ((1 << b) - 1)
     acc = np.take(rows[lanes[0]], idx[:, 0]).view(np.int16)
     for p in range(1, len(lanes)):

@@ -374,7 +374,7 @@ def load_platform(path=None) -> PlatformConfig:
     if path is None:
         return default_platform()
     try:
-        doc = _typed(json.loads(Path(path).read_text()), dict, "top level")
+        doc = _typed(json.loads(Path(path).read_text(encoding="utf-8")), dict, "top level")
         cm = _typed(doc["cycle_model"], dict, "cycle_model")
         pm = _typed(doc["power_model"], dict, "power_model")
         anchors = "aging_anchors_years_mhz"
@@ -387,6 +387,9 @@ def load_platform(path=None) -> PlatformConfig:
         )
     except KeyError as e:
         raise ValueError(f"malformed platform config {path}: missing key {e}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"malformed platform config {path}: not UTF-8 text "
+                         f"({e.reason} at byte {e.start})") from None
     except RecursionError:
         raise ValueError(f"malformed platform config {path}: nested too deeply") from None
     except (TypeError, ValueError, OverflowError) as e:

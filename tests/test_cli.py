@@ -257,17 +257,19 @@ class TestAging:
 
 
     @pytest.mark.parametrize("field,value,message", [
-        (None, "[1, 2]", "top level must be an object, got [1, 2]"),
+        (None, b"[1, 2]", "top level must be an object, got [1, 2]"),
         (("aging_anchors_years_mhz", 0), [0.0, 85.7, 1],
          "aging_anchors_years_mhz entries must be [years, MHz] pairs, got [0.0, 85.7, 1]"),
-        (None, '{"cycle_model": 5}', "cycle_model must be an object, got 5"),
-        (None, "[" * 100000, "nested too deeply"),
-    ], ids=["top-level-array", "three-value-anchor", "number-for-model", "deep-nesting"])
+        (None, b'{"cycle_model": 5}', "cycle_model must be an object, got 5"),
+        (None, b"[" * 100000, "nested too deeply"),
+        (None, b'{"base_freq_mhz": 85.7\x80}', "not UTF-8 text (invalid start byte at byte 22)"),
+    ], ids=["top-level-array", "three-value-anchor", "number-for-model", "deep-nesting",
+            "non-utf8"])
     def test_platform_structure_error_names_the_key(self, tmp_path, capsys, field, value,
                                                     message):
         if field is None:
             path = tmp_path / "p.json"
-            path.write_text(value)
+            path.write_bytes(value)
         else:
             path = _platform_with(tmp_path, field, value)
         assert main(["aging", "--platform", str(path)]) == 1
@@ -296,6 +298,33 @@ def test_huge_platform_models_refused(tmp_path, small_image, capsys, command, fi
     assert captured.out == ""
     assert captured.err == f"error: malformed platform config {path}: {message}\n"
     assert not rep.exists() and not out.exists()
+
+
+# finite inputs whose report numbers still overflow to inf after load
+OVERFLOWING_RUNS = [
+    ("sweep", ["--target", "1e308"], None, "freq_mhz overflows: inf at bitwidth 10"),
+    ("aging", [], ("aging_anchors_years_mhz", 0, 1), "throughput_fps overflows: inf at year 0"),
+    ("compress", [], ("base_freq_mhz",), "throughput_fps overflows: inf at bitwidth 10"),
+]
+
+
+@pytest.mark.parametrize("command,flags,field,message", OVERFLOWING_RUNS,
+                         ids=["sweep-target", "aging-anchor", "compress-base-clock"])
+def test_overflowing_report_numbers_refused(tmp_path, small_image, capsys, command, flags,
+                                            field, message):
+    rep, out = tmp_path / "r.csv", tmp_path / "out.pgm"
+    argv = {"sweep": ["sweep", "--in", str(small_image)],
+            "compress": ["compress", "--in", str(small_image), "--out", str(out)],
+            "aging": ["aging"]}[command] + flags
+    if field:
+        argv += ["--platform", str(_platform_with(tmp_path, field, 1e308))]
+    assert main([*argv, "--report", str(rep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not rep.exists() and not out.exists()
+    if command == "compress":  # without --report, no number reads the base clock
+        assert main(argv) == 0 and out.exists()
 
 
 def test_parser_built_once_survives_usage_errors(tmp_path, small_image, capsys):

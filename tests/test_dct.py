@@ -1,6 +1,7 @@
 """Transform pipeline: reference path, quantized tables, fixed-point 2D."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -20,22 +21,19 @@ from arsc.dct import (
     SAMPLE_WIDTH,
     PipelineReport,
     _fixed_chunk,
-    _narrow_rows,
-    _product_tables,
+    _product_rows,
     _reference_chunk,
+    _saturation,
     _stage,
     _to_blocks,
     dct1d_ref,
-    dct1d_sc,
     dct2d_ref,
     dct_basis,
     idct1d_ref,
-    idct1d_sc,
     idct2d_ref,
     process_image,
     process_widths,
     psnr,
-    quantize_coefficients,
     reference_pipeline,
 )
 from arsc.mac import BITWIDTHS, AccuracySelect, SignMagnitude, mac
@@ -49,6 +47,49 @@ def sm(sign, raw, width=SAMPLE_WIDTH):
 
 def const_vector(raw, sign=1):
     return [sm(sign, raw)] * N
+
+
+# The scalar oracle of the batched engine: one mac() call per output of a 1D
+# transform, on coefficients quantized straight from the float basis.
+
+def quantize_coefficients(b):
+    """Transform coefficients as b-bit sign-magnitude values: entry (k, i) is
+    the basis factor rounded to nearest, ties away from zero; every magnitude
+    is <= 1."""
+    if not 6 <= b <= 10:
+        raise ValueError(f"coefficient width {b} out of range 6..10")
+    c = dct_basis()
+    return [[SignMagnitude.from_float(c[k, i], b) for i in range(N)] for k in range(N)]
+
+
+def dct1d_sc(a, sel):
+    """Forward 1D transform of 8 samples on the MAC unit: (outputs, cycles);
+    outputs are scaled by 1/4 before storage."""
+    table = quantize_coefficients(sel.bitwidth)
+    rs = [mac(a, table[k], sel, result_shift=INTER_STAGE_SHIFT) for k in range(N)]
+    return [r.value for r in rs], sum(r.cycles_fixed for r in rs)
+
+
+def idct1d_sc(f, sel):
+    """Inverse 1D transform: transposed coefficients, compensating gain 4."""
+    table = quantize_coefficients(sel.bitwidth)
+    rs = [mac(f, [table[k][i] for k in range(N)], sel, result_shift=-INTER_STAGE_SHIFT)
+          for i in range(N)]
+    return [r.value for r in rs], sum(r.cycles_fixed for r in rs)
+
+
+@pytest.fixture
+def mac_clamps(monkeypatch):
+    """The clamp flag of every mac() call the scalar oracle makes from now on."""
+    clamps, real_mac = [], mac
+
+    def counting_mac(*args, **kwargs):
+        r = real_mac(*args, **kwargs)
+        clamps.append(r.clamped)
+        return r
+
+    monkeypatch.setattr(sys.modules[__name__], "mac", counting_mac)
+    return clamps
 
 
 class TestReferenceTransform:
@@ -193,6 +234,11 @@ class TestFixed2d:
         assert rep.psnr_vs_input >= 30.0
 
 
+def _bits_mask(bits):
+    """The mask whose entry (k, l) is bit 8k + l of a 64-bit integer."""
+    return FrequencyMask(np.array([(bits >> i) & 1 for i in range(N * N)]).reshape(N, N))
+
+
 def _signed_samples(rng):
     """A (3, 8, 8) int16 batch of signed 10-bit samples, as _fixed_chunk masks."""
     top = (1 << SAMPLE_WIDTH) - 1
@@ -207,7 +253,7 @@ class TestMask:
 
     def test_allzero_mask(self):
         x = np.full((3, 8, 8), 100, dtype=np.int16)
-        out = x * FrequencyMask.from_array(np.zeros((8, 8), int)).m
+        out = x * FrequencyMask(np.zeros((8, 8), int)).m
         assert out.dtype == np.int16 and np.all(out == 0)
 
     def test_lowpass_shape(self):
@@ -223,9 +269,7 @@ class TestMask:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**63))
     @settings(max_examples=50)
     def test_idempotence(self, mask_bits, raw_seed):
-        m = FrequencyMask.from_array(
-            np.array([(mask_bits >> i) & 1 for i in range(64)]).reshape(8, 8)
-        )
+        m = _bits_mask(mask_bits)
         once = _signed_samples(np.random.default_rng(raw_seed)) * m.m
         assert np.array_equal(once * m.m, once)
 
@@ -246,14 +290,12 @@ class TestMask:
 
     def test_binary_only(self):
         with pytest.raises(ValueError):
-            FrequencyMask.from_array(np.full((8, 8), 2))
+            FrequencyMask(np.full((8, 8), 2))
 
     @pytest.mark.parametrize("value", [0.5, 1.9, -0.0001, np.nan, np.inf])
     def test_non_integral_entries_refused(self, value):
         a = np.ones((8, 8))
         a[3, 5] = value
-        with pytest.raises(ValueError):
-            FrequencyMask.from_array(a)
         with pytest.raises(ValueError):
             FrequencyMask(a)
 
@@ -286,7 +328,7 @@ class TestMask:
         f = dct2d_ref(np.full((8, 8), c))
         dc_only = np.zeros((8, 8), int)
         dc_only[0, 0] = 1
-        back = idct2d_ref(f * FrequencyMask.from_array(dc_only).m)
+        back = idct2d_ref(f * FrequencyMask(dc_only).m)
         assert np.max(np.abs(back - c)) < 1e-12
 
 
@@ -369,7 +411,7 @@ class TestProcessImage:
         img = GrayImage(np.full((16, 16), 200, dtype=np.uint8))
         rep = process_image(
             img, AccuracySelect.from_bitwidth(10),
-            FrequencyMask.from_array(np.zeros((8, 8), int)),
+            FrequencyMask(np.zeros((8, 8), int)),
         )
         assert np.all(rep.output.pixels == 0)
 
@@ -469,24 +511,16 @@ class TestBatchedEngineOracle:
     """The batched whole-image engine against the scalar MAC path."""
 
     @pytest.mark.parametrize("bits", [10, 9, 8, 7, 6])
-    def test_matches_scalar_mac(self, bits, monkeypatch):
-        clamps = []
-
-        def counting_mac(*args, **kwargs):
-            r = mac(*args, **kwargs)
-            clamps.append(r.clamped)
-            return r
-
-        monkeypatch.setattr(arsc.dct, "mac", counting_mac)
+    def test_matches_scalar_mac(self, bits, mac_clamps):
         sel = AccuracySelect.from_bitwidth(bits)
         seen = 0
         for name, pixels in ORACLE_IMAGES.items():
             for mask in (FrequencyMask.allpass(), FrequencyMask.lowpass(4)):
-                clamps.clear()
+                mac_clamps.clear()
                 want, cycles = _scalar_pipeline(pixels, sel, mask)
                 rep = process_image(GrayImage(pixels), sel, mask)
                 assert np.array_equal(rep.output.pixels, want), (name, mask.m.sum())
-                assert rep.clamp_count == sum(clamps), (name, mask.m.sum())
+                assert rep.clamp_count == sum(mac_clamps), (name, mask.m.sum())
                 assert rep.total_cycles_fixed == cycles
                 seen += rep.clamp_count
         assert seen > 0
@@ -549,15 +583,7 @@ class TestStageKernelOracle:
 
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("bits", [10, 9, 8, 7, 6])
-    def test_matches_scalar_mac(self, bits, inverse, monkeypatch):
-        clamps = []
-
-        def counting_mac(*args, **kwargs):
-            r = mac(*args, **kwargs)
-            clamps.append(r.clamped)
-            return r
-
-        monkeypatch.setattr(arsc.dct, "mac", counting_mac)
+    def test_matches_scalar_mac(self, bits, inverse, mac_clamps):
         top = (1 << bits) - 1
         rng = np.random.default_rng(100 * bits + inverse)
         x = rng.integers(-top, top + 1, size=(5, N, N))
@@ -576,7 +602,7 @@ class TestStageKernelOracle:
         # full-width oracle outputs are b-bit results padded back to 10 bits
         assert np.array_equal(got[5:].astype(np.int64) << drop, np.stack([out for out, _ in wide]))
         assert not got[-1].any()
-        assert got_clamps == sum(clamps)
+        assert got_clamps == sum(mac_clamps)
         # every block is charged 1024 multiplier slots of the fixed 2**b schedule
         assert all(cycles == 1024 << bits for _, cycles in narrow + wide)
         if inverse:  # saturation at both ends of the table
@@ -617,15 +643,7 @@ class TestPrunedEngineOracle:
     stage composition and the scalar MAC path."""
 
     @pytest.mark.parametrize("bits", BITWIDTHS)
-    def test_matches_dense_and_scalar_mac(self, bits, monkeypatch):
-        clamps = []
-
-        def counting_mac(*args, **kwargs):
-            r = mac(*args, **kwargs)
-            clamps.append(r.clamped)
-            return r
-
-        monkeypatch.setattr(arsc.dct, "mac", counting_mac)
+    def test_matches_dense_and_scalar_mac(self, bits, mac_clamps):
         sel = AccuracySelect.from_bitwidth(bits)
         rng = np.random.default_rng(bits)
         many = np.concatenate([SWING_BLOCKS, rng.integers(0, 2, (60, N, N)) * 255,
@@ -636,14 +654,30 @@ class TestPrunedEngineOracle:
             got, got_clamps = _fixed_chunk(many, bits, mask)
             want, want_clamps = _dense_chunk(many, bits, mask)
             assert np.array_equal(got, want) and got_clamps == want_clamps, name
-            clamps.clear()
+            mac_clamps.clear()
             scalar, _ = _scalar_pipeline(image, sel, mask)
             got, got_clamps = _fixed_chunk(SWING_BLOCKS, bits, mask)
             assert np.array_equal(_unblock(got, N, image.shape[1]), scalar), name
-            assert got_clamps == sum(clamps), name
+            assert got_clamps == sum(mac_clamps), name
             seen[name] = got_clamps
         assert all(seen[name] > 0 for name in ("allpass", "lowpass:4", "checkerboard", "hole"))
         assert seen["zero"] == 0
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 255), st.integers(0, 255),
+           st.sampled_from(BITWIDTHS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_any_mask_matches_dense(self, mask_bits, row_bits, col_bits, bits, seed):
+        # ANDing whole rows and columns away makes pruned stages likely; with
+        # both bytes 0xff the mask is any of the 2**64
+        keep = np.outer([(row_bits >> k) & 1 for k in range(N)],
+                        [(col_bits >> l) & 1 for l in range(N)])
+        mask = FrequencyMask(_bits_mask(mask_bits).m & keep)
+        rng = np.random.default_rng(seed)
+        blocks = np.concatenate([SWING_BLOCKS, rng.integers(0, 2, (8, N, N)) * 255,
+                                 rng.integers(0, 256, (8, N, N))]).astype(np.uint8)
+        got, got_clamps = _fixed_chunk(blocks, bits, mask)
+        want, want_clamps = _dense_chunk(blocks, bits, mask)
+        assert np.array_equal(got, want) and got_clamps == want_clamps
 
 
 # output sets of a stage, of every padded row width
@@ -657,26 +691,20 @@ class TestProductTables:
     def test_rows_match_closed_form_lane_major(self, b, inverse):
         # each lane's rows must stay contiguous: _stage gathers one row scalar per
         # lane, of 16 bytes for all eight outputs and of 2, 4 or 8 for fewer
-        rows, _, _ = _product_tables(b, inverse)
+        c = (dct_basis().T if inverse else dct_basis()).T  # [lane i, k]
         size = 1 << b
-        assert rows.shape == (N, 2 * size - 1, 1) and rows.flags.c_contiguous
-        signs, weights = arsc.dct._coeff_arrays(b)
-        if inverse:
-            signs, weights = signs.T, weights.T
         sv = np.arange(1 - size, size)[None, :, None]
-        w = weights.T[:, None, :]  # [lane i, 1, k]
+        w = np.floor(np.abs(c) * size + 0.5).astype(np.int64)[:, None, :]  # [i, 1, k]
         # prefix_ones bit by bit, independent of the table's doubling
         ones = sum(((np.abs(sv) >> j) & 1) * ((w + (1 << (b - 1 - j))) >> (b - j))
                    for j in range(b))
-        want = np.sign(sv) * signs.T[:, None, :] * ones
-        assert np.array_equal(rows.view(np.int16), want)
-        assert _narrow_rows(b, inverse, _ALL) is rows
+        want = np.sign(sv) * np.where(c < 0, -1, 1)[:, None, :] * ones
         for outs in NARROW_OUTS:
-            narrow = _narrow_rows(b, inverse, outs)
+            rows = _product_rows(b, inverse, outs)
             width = 1 if len(outs) == 1 else 2 if len(outs) == 2 else 4 if len(outs) <= 4 else 8
-            assert narrow.shape == rows.shape and narrow.flags.c_contiguous, outs
-            assert narrow.itemsize == 2 * width and not narrow.flags.writeable, outs
-            products = narrow.view(np.int16)
+            assert rows.shape == (N, 2 * size - 1, 1) and rows.flags.c_contiguous, outs
+            assert rows.itemsize == 2 * width and not rows.flags.writeable, outs
+            products = rows.view(np.int16)
             assert np.array_equal(products[..., :len(outs)], want[..., outs]), outs
             assert not products[..., len(outs):].any(), outs
 
@@ -687,7 +715,8 @@ class TestProductTables:
         # |sum| of an output takes each lane's largest |product|, as the sample
         # signs are free.
         for inverse, bound in ((False, (4 << b) - 1), (True, (1 << (b - 2)) - 1)):
-            rows, _, (lo, hi) = _product_tables(b, inverse)
+            rows = _product_rows(b, inverse, _ALL)
+            lo, hi = _saturation(b, inverse)[1]
             worst = int(np.abs(rows.view(np.int16)).max(axis=1).sum(axis=0).max())
             assert (lo - (N << b), hi - (N << b)) == (-bound, bound)
             assert (worst > bound) == inverse, (worst, bound)
