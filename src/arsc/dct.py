@@ -1,17 +1,18 @@
 """8-point DCT/IDCT image pipeline on the reconfigurable MAC.
 
-The fixed-point path reproduces the sign-magnitude MAC unit (mac.mac)
-bit for bit, batched over bands of whole block rows that every bit-width
-shares: each 1D stage gathers one row of counter-based products per
-sample and lane, sums the rows in int16 and finishes every sum with one
-saturation-table lookup. Each stage computes only the coefficient rows and
-columns that hold a kept one of the frequency mask, and gathers only the
-lanes they feed, so a row holds 1, 2, 4 or 8 products. A float64 path with the same
-separable structure, one GEMM per matrix product, serves as the accuracy
-reference and runs once per band. Every 1D stage output is
-scaled by 1/4 before buffering (and re-amplified by 4 in the inverse
-stages) so that all multiplier operands stay inside [0, 1); the net
-forward+inverse gain is exactly 1.
+The fixed-point path reproduces the sign-magnitude MAC unit (mac.mac) bit
+for bit, over raster bands of whole block rows that every bit-width shares.
+Each 1D stage reads its lanes as the leading axis of a view of the band and
+sums, in int16, one gathered row of counter-based products per sample and
+lane, next stage's lanes first. Cached tables fold in every elementwise
+pass: stage 1's rows take the raw pixel, and saturation tables take each
+signed sum to the next stage's row index or to the de-normalised pixel.
+Stages run only the coefficient rows and columns that hold a kept one of
+the frequency mask. Only inverse sums count clamps: no forward sum can reach
+the clamp (see _fixed_band). A float64 path of the same structure, one GEMM
+per matrix product, is the accuracy reference. Every 1D stage output is
+scaled by 1/4 before buffering (and re-amplified by 4 in the inverse stages)
+so that all multiplier operands stay inside [0, 1); the net gain is exactly 1.
 """
 
 from __future__ import annotations
@@ -146,35 +147,42 @@ def _product_rows(b: int, inverse: bool, outs: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _saturation(b: int, inverse: bool) -> tuple[np.ndarray, tuple[int, int]]:
-    """Saturation table of one direction at width b and its unclamped span: entry
-    acc + 8 * 2**b is |acc| >> 2 (<< 2 if inverse), clamped to 2**b - 1, signed as acc."""
+def _pixel_rows(b: int, outs: tuple[int, ...]) -> np.ndarray:
+    """_product_rows of forward outputs `outs` at width b, indexed by the raw pixel
+    p: a pixel is the 10-bit sample p << PIXEL_SHIFT, truncated to b bits."""
+    sv = (np.arange(256) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
+    rows = _product_rows(b, False, outs)[:, sv + (1 << b) - 1]
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _saturation(b: int, inverse: bool, pixels: bool = False) -> tuple[np.ndarray, int]:
+    """Post table of one direction at width b and the largest |sum| it leaves unclamped.
+
+    Entry acc is the intp row index sv + 2**b - 1 of sv = |acc| >> 2 (<< 2 if
+    inverse) clamped to 2**b - 1 and signed as acc, or with `pixels` the uint8
+    pixel sv de-normalises to. Every sum in [-8 * 2**b, 8 * 2**b] indexes it."""
     acc = np.arange(-N << b, (N << b) + 1)
     mag = np.abs(acc) << INTER_STAGE_SHIFT if inverse else np.abs(acc) >> INTER_STAGE_SHIFT
-    post = (np.sign(acc) * np.minimum(mag, (1 << b) - 1)).astype(np.int16)
-    post.setflags(write=False)
-    return post, tuple(np.flatnonzero(mag < 1 << b)[[0, -1]].tolist())
+    sv = np.sign(acc) * np.minimum(mag, (1 << b) - 1)
+    # a pixel step is 4 raw units: the last inverse stage's << 2 makes every
+    # unsaturated sample one, and a saturated one clips to 0 or 255 unrounded
+    table = (np.clip((sv << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255).astype(np.uint8)
+             if pixels else (sv + (1 << b) - 1).astype(np.intp))
+    table = np.roll(table, -(N << b))
+    table.setflags(write=False)
+    return table, int(np.abs(acc[mag < 1 << b]).max())
 
 
-def _stage(x: np.ndarray, b: int, inverse: bool, lanes: tuple[int, ...], outs: tuple[int, ...]):
-    """One 1D MAC stage over axis 1 of (B, len(lanes), V) signed b-bit samples.
-
-    Bit-identical to one mac() call per input vector and output k in outs,
-    with zero samples on the lanes missing from `lanes`: x[n, p, j] is the
-    sample on lane lanes[p], whose product row is gathered; the rows sum
-    exactly in int16 (|sum| <= 8 * 2**b <= 8192), and one saturation-table
-    lookup finishes each sum. Output outs[q] of the vector x[n, :, j] lands at
-    [n, j, q], so two stages make a 2D transform. Returns (samples, clamp count).
-    """
-    rows = _product_rows(b, inverse, outs)
-    post, (lo, hi) = _saturation(b, inverse)
-    idx = x + ((1 << b) - 1)
-    acc = np.take(rows[lanes[0]], idx[:, 0]).view(np.int16)
+def _stage(idx: np.ndarray, rows: np.ndarray, lanes: tuple[int, ...]) -> np.ndarray:
+    """int16 [*idx.shape[1:], product] sums of one 1D MAC stage: the product rows of
+    lane lanes[p] gathered at row indices idx[p] (contiguous intp, or pixels) and
+    added over p, exactly: |sum| <= 8 * 2**b <= 8192."""
+    acc = np.take(rows[lanes[0]], idx[0]).view(np.int16)
     for p in range(1, len(lanes)):
-        acc += np.take(rows[lanes[p]], idx[:, p]).view(np.int16)
-    acc += N << b  # padding sums to 0, which never clamps
-    clamps = int(np.count_nonzero(acc < lo) + np.count_nonzero(acc > hi))
-    return np.take(post, acc.reshape(len(x), x.shape[2], -1)[..., :len(outs)]), clamps
+        acc += np.take(rows[lanes[p]], idx[p]).view(np.int16)
+    return acc.reshape(*idx.shape[1:], -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,80 +247,71 @@ class PipelineReport:
     psnr_vs_reference: float
 
 
-def _to_blocks(pixels: np.ndarray) -> np.ndarray:
-    """(B, 8, 8) row-major blocks of the image, edge-padded to whole blocks."""
+def _pad(pixels: np.ndarray) -> np.ndarray:
+    """The raster edge-padded to whole 8x8 blocks; a block-aligned one as it is."""
     h, w = pixels.shape
-    if h % N or w % N:  # np.pad copies the band even when there is nothing to pad
-        pixels = np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
-    rows, cols = pixels.shape[0] // N, pixels.shape[1] // N
-    return pixels.reshape(rows, N, cols, N).swapaxes(1, 2).reshape(-1, N, N)
+    if h % N or w % N:  # np.pad copies even when there is nothing to pad
+        return np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
+    return pixels
 
 
 def _bands(pixels: np.ndarray):
-    """(first row, pixel rows, blocks) of each band of whole block rows, at least
-    one and about CHUNK_BLOCKS blocks; only the last band is padded at the bottom."""
+    """(first row, pixel rows, those rows padded) of each band of whole block rows,
+    at least one and about CHUNK_BLOCKS blocks; only the last one is short."""
     step = N * max(1, CHUNK_BLOCKS // -(-pixels.shape[1] // N))
     for y in range(0, pixels.shape[0], step):
-        yield y, pixels[y:y + step], _to_blocks(pixels[y:y + step])
+        yield y, pixels[y:y + step], _pad(pixels[y:y + step])
 
 
-def _put(raster: np.ndarray, y: int, blocks: np.ndarray) -> np.ndarray:
-    """Write row-major blocks over the raster's rows from y on, cropped to its
-    size; returns those rows."""
-    cols = -(-raster.shape[1] // N)
-    rows = len(blocks) // cols
-    band = raster[y:y + rows * N]
-    pixels = blocks.reshape(rows, cols, N, N).swapaxes(1, 2).reshape(rows * N, cols * N)
-    band[...] = pixels[:len(band), :raster.shape[1]]
-    return band
+def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
+    """Fixed-point pipeline of a padded raster band at width b: (its pixels, clamps).
 
-
-def _fixed_chunk(pixels: np.ndarray, b: int, mask: FrequencyMask):
-    """Fixed-point pipeline of (B, 8, 8) pixel blocks at width b: (pixels, clamps).
-
-    Each stage runs only what the mask keeps. The forward stages compute the
-    rows and columns of coefficients that hold a kept one, so forward stage 2
-    runs only the kept rows' vectors; the inverse stages skip the lanes those
-    zeroed coefficients and vectors would feed, which add exactly 0. No clamp
-    is lost: a forward sum is at most 2896 * 2**(b-10) in magnitude, inside
-    the unclamped 4 * 2**b - 1, and every inverse output is still computed.
+    Forward stage 2 runs only the kept rows' vectors, and the inverse stages
+    skip the lanes that zeroed coefficients and vectors feed, which add 0.
+    Only inverse sums count clamps: a forward sum is at most 2896 * 2**(b-10)
+    in magnitude, inside the unclamped 4 * 2**b - 1.
     """
     rows, cols = mask.kept_rows, mask.kept_cols
     if not rows:
-        return np.zeros(pixels.shape, dtype=np.uint8), 0
-    # a pixel p is the 10-bit sample p << PIXEL_SHIFT, truncated to b bits
-    x = (pixels.astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
-    y, c1 = _stage(x, b, False, _ALL, rows)  # [n, column j, row k]
-    f, c2 = _stage(y, b, False, _ALL, cols)  # [n, row k, column l]
-    if not mask.kept_block.all():
-        f *= mask.kept_block
-    y, c3 = _stage(f.swapaxes(1, 2), b, True, cols, _ALL)  # [n, row k, pixel column j]
-    v, c4 = _stage(y, b, True, rows, _ALL)  # [n, j, pixel row i]
-    # raw units are 1/1024 of full scale; a pixel step is 4 units. The last
-    # inverse stage shifts left by 2, so an unsaturated sample is already a
-    # whole pixel step, and a saturated one, +-(2**b - 1), clips to 255 or 0
-    # with or without rounding: the shift alone rounds exactly.
-    out = np.clip((v.swapaxes(1, 2) << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255)
-    return out.astype(np.uint8), c1 + c2 + c3 + c4
+        return np.zeros(band.shape, dtype=np.uint8), 0
+    forward, inverse = _saturation(b, False)[0], _product_rows(b, True, _ALL)
+    post, bound = _saturation(b, True)
+    # pixel [r, i, c, j] of the band is sample i of the vector [j, r, c]
+    acc = _stage(band.reshape(-1, N, band.shape[1] // N, N).transpose(1, 3, 0, 2),
+                 _pixel_rows(b, rows), _ALL)  # [j, r, c, row k]
+    acc = _stage(np.take(forward, acc[..., :len(rows)]),
+                 _product_rows(b, False, cols), _ALL)  # [r, c, k, column l]
+    x = np.take(forward, acc[..., :len(cols)].transpose(3, 2, 0, 1))  # [l, k, r, c]
+    if not mask.kept_block.all():  # a zeroed coefficient is the sample 0
+        np.copyto(x, (1 << b) - 1, where=mask.kept_block.T[..., None, None] == 0)
+    acc = _stage(x, inverse, cols)  # [k, r, c, pixel column j]
+    clamps = np.count_nonzero(acc < -bound) + np.count_nonzero(acc > bound)
+    acc = _stage(np.take(post, acc), inverse, rows)  # [r, c, j, pixel row i]
+    clamps += np.count_nonzero(acc < -bound) + np.count_nonzero(acc > bound)
+    pixels = np.take(_saturation(b, True, pixels=True)[0], acc.transpose(0, 3, 1, 2))
+    return pixels.reshape(band.shape), int(clamps)
 
 
-def _reference_chunk(pixels: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    # one GEMM per product over [row, block, column]; p/256 is exact, so left out
+def _reference_band(band: np.ndarray, mask: FrequencyMask) -> np.ndarray:
+    """Float64 pipeline of a padded raster band: its pixels."""
     c = dct_basis()
-    x = np.ascontiguousarray(pixels.transpose(1, 0, 2), dtype=np.float64)
-    f = ((c @ x.reshape(N, -1)).reshape(-1, N) @ c.T).reshape(x.shape) * mask.m[:, None, :]
-    # the last product overwrites x, so at most three chunk-sized arrays live
+    # one GEMM per product over [row, block, column]; p/256 is exact, so left out.
+    # Not astype: x must be C-contiguous for the last product to write into it
+    x = np.ascontiguousarray(band.reshape(-1, N, band.shape[1]).swapaxes(0, 1), np.float64)
+    f = ((c @ x.reshape(N, -1)).reshape(-1, N) @ c.T).reshape(N, -1, N)
+    f *= mask.m.astype(np.float64)[:, None, :]
+    # the last product overwrites x, so at most three band-sized arrays live
     np.matmul((c.T @ f.reshape(N, -1)).reshape(-1, N), c, out=x.reshape(-1, N))
-    # negatives clip to 0, so floor(x + 0.5) rounds half away from zero
-    np.floor(np.add(x, 0.5, out=x), out=x)
-    return np.clip(x, 0, 255, out=x).astype(np.uint8).transpose(1, 0, 2)
+    # negatives clip to 0 and the cast truncates, so x + 0.5 rounds half away from zero
+    np.clip(np.add(x, 0.5, out=x), 0, 255, out=x)
+    return x.swapaxes(0, 1).astype(np.uint8, order="C").reshape(band.shape)
 
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
     """Float64 pipeline with the same blocks, bands and mask; the accuracy baseline."""
     out = np.empty_like(img.pixels)
-    for y, _, blocks in _bands(img.pixels):
-        _put(out, y, _reference_chunk(blocks, mask))
+    for y, band, padded in _bands(img.pixels):
+        out[y:y + len(band)] = _reference_band(padded, mask)[:len(band), :band.shape[1]]
     return GrayImage(out)
 
 
@@ -321,18 +320,19 @@ def process_widths(img: GrayImage, sels, mask: FrequencyMask) -> list[PipelineRe
 
     Pixels are padded to 8x8 blocks by edge replication and normalized to
     p/256 at the 10-bit stage width. Per block: forward 2D transform, mask,
-    inverse 2D transform, de-normalization to 0..255. Each band is blocked
+    inverse 2D transform, de-normalization to 0..255. Each band is padded
     and run through the float reference once, then through every width.
     Total cycles are the fixed MAC schedules over PARALLELISM pixels a cycle.
     """
     h, w = img.pixels.shape
     outs = [np.empty_like(img.pixels) for _ in sels]
     totals = np.zeros((len(sels), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
-    for y, band, blocks in _bands(img.pixels):
-        ref = _put(np.empty_like(band), 0, _reference_chunk(blocks, mask))
+    for y, band, padded in _bands(img.pixels):
+        ref = _reference_band(padded, mask)[:len(band), :w]
         for k, sel in enumerate(sels):
-            pixels, count = _fixed_chunk(blocks, sel.bitwidth, mask)
-            got = _put(outs[k], y, pixels)
+            pixels, count = _fixed_band(padded, sel.bitwidth, mask)
+            got = outs[k][y:y + len(band)]
+            got[...] = pixels[:len(band), :w]
             totals[k] += count, _sse(got, band), _sse(got, ref)
     slots = -(-h // N) * -(-w // N) * 2 * _TRANSFORM_SLOTS  # forward + inverse
     return [PipelineReport(GrayImage(out), (slots << sel.bitwidth) // PARALLELISM,

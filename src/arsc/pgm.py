@@ -57,17 +57,17 @@ def read_pgm(path) -> GrayImage:
     pos += 1  # exactly one whitespace byte before the raster
 
     expected = width * height
-    raster = data[pos : pos + expected]
-    if len(raster) != expected:
+    if len(data) - pos < expected:
         raise ValueError(
-            f"truncated raster at byte {pos + len(raster)}: "
-            f"expected {expected} bytes, found {len(raster)}"
+            f"truncated raster at byte {len(data)}: "
+            f"expected {expected} bytes, found {len(data) - pos}"
         )
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width)
     return GrayImage(pixels.copy())
 
 
 def write_pgm(img: GrayImage, path) -> None:
     """Write a binary PGM file."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels.tobytes())
+    with open(path, "wb") as f:
+        f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
+        f.write(np.ascontiguousarray(img.pixels))

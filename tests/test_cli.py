@@ -165,7 +165,7 @@ class TestSweep:
         assert all(ln.startswith("warning: ") and "85.7000 MHz base clock" in ln for ln in err)
 
     def test_width_independent_work_runs_once_per_band(self, tmp_path, monkeypatch):
-        calls = {"_to_blocks": 0, "_reference_chunk": 0, "_fixed_chunk": 0}
+        calls = {"_pad": 0, "_reference_band": 0, "_fixed_band": 0}
 
         def counted(name):
             fn = getattr(arsc.dct, name)
@@ -183,8 +183,7 @@ class TestSweep:
         # 32 x 32 blocks in bands of whole block rows
         bands = -(-32 // max(1, arsc.dct.CHUNK_BLOCKS // 32))
         assert bands < 5
-        assert calls == {"_to_blocks": bands, "_reference_chunk": bands,
-                         "_fixed_chunk": 5 * bands}
+        assert calls == {"_pad": bands, "_reference_band": bands, "_fixed_band": 5 * bands}
 
     @pytest.mark.parametrize("target", ["nan", "inf", "0", "-7.19"])
     def test_bad_target_usage_error(self, small_image, target):

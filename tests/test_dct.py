@@ -20,12 +20,13 @@ from arsc.dct import (
     PIXEL_SHIFT,
     SAMPLE_WIDTH,
     PipelineReport,
-    _fixed_chunk,
+    _fixed_band,
+    _pad,
+    _pixel_rows,
     _product_rows,
-    _reference_chunk,
+    _reference_band,
     _saturation,
     _stage,
-    _to_blocks,
     dct1d_ref,
     dct2d_ref,
     dct_basis,
@@ -240,7 +241,7 @@ def _bits_mask(bits):
 
 
 def _signed_samples(rng):
-    """A (3, 8, 8) int16 batch of signed 10-bit samples, as _fixed_chunk masks."""
+    """A (3, 8, 8) int16 batch of signed 10-bit samples, as _fixed_band masks."""
     top = (1 << SAMPLE_WIDTH) - 1
     return rng.integers(-top, top + 1, size=(3, N, N)).astype(np.int16)
 
@@ -528,26 +529,35 @@ class TestBatchedEngineOracle:
     @pytest.mark.parametrize("mask", [FrequencyMask.allpass(), FrequencyMask.lowpass(4)])
     def test_reference_matches_per_block_float(self, mask):
         for pixels in ORACLE_IMAGES.values():
-            h, w = pixels.shape
-            want = np.zeros((h + N, w + N), dtype=np.uint8)
-            for by, bx, blk in _padded_blocks(pixels):
-                out = idct2d_ref(dct2d_ref(blk / 256.0) * mask.m) * 256.0
-                rounded = np.sign(out) * np.floor(np.abs(out) + 0.5)
-                want[by:by + N, bx:bx + N] = np.clip(rounded, 0, 255)
             got = reference_pipeline(GrayImage(pixels), mask)
-            assert np.array_equal(got.pixels, want[:h, :w])
+            assert np.array_equal(got.pixels, _per_block_reference(pixels, mask))
 
 
 _ALL = tuple(range(N))
 
 
+def _stage_samples(x, b, inverse, lanes=_ALL, outs=_ALL):
+    """One 1D stage on the engine's kernel and tables: x[p, ...] are the signed
+    b-bit samples on lane lanes[p], zero on the other lanes. Returns (samples
+    [..., q] of output outs[q], their clamp count), counted forward too."""
+    offset = (1 << b) - 1
+    sums = _stage(np.asarray(x, dtype=np.intp) + offset, _product_rows(b, inverse, outs), lanes)
+    assert sums.dtype == np.int16
+    post, bound = _saturation(b, inverse)
+    idx = np.take(post, sums[..., :len(outs)])
+    assert idx.dtype == np.intp
+    clamps = np.count_nonzero(sums < -bound) + np.count_nonzero(sums > bound)
+    return (idx - offset).astype(np.int16), int(clamps)
+
+
 def _transform2d(x, b, inverse):
-    """Separable 2D transform of (B, 8, 8) signed b-bit samples: _stage over
-    every lane and output. Forward runs columns, then rows, scaling each pass
-    by 1/4; inverse uses the transposed table, amplifies by 4 and mirrors the
-    pass order. Returns (samples, clamp count)."""
-    y, c1 = _stage(x.swapaxes(1, 2) if inverse else x, b, inverse, _ALL, _ALL)
-    z, c2 = _stage(y, b, inverse, _ALL, _ALL)
+    """Separable 2D transform of (B, 8, 8) signed b-bit samples: _stage_samples
+    over every lane and output. Forward runs columns, then rows, scaling each
+    pass by 1/4; inverse uses the transposed table, amplifies by 4 and mirrors
+    the pass order. Returns (samples, clamp count)."""
+    # lanes first: [i, j, n] forward, [l, k, n] inverse
+    y, c1 = _stage_samples(x.transpose(2, 1, 0) if inverse else x.transpose(1, 2, 0), b, inverse)
+    z, c2 = _stage_samples(y, b, inverse)  # [n, k, l] forward, [n, j, i] inverse
     return (z.swapaxes(1, 2) if inverse else z), c1 + c2
 
 
@@ -611,7 +621,8 @@ class TestStageKernelOracle:
 
 
 def _dense_chunk(pixels, b, mask):
-    """_fixed_chunk without pruning: both dense 2D transforms and the whole mask."""
+    """_fixed_band without pruning, on (B, 8, 8) pixel blocks: both dense 2D
+    transforms and the whole mask, all four stages' clamps counted."""
     x = (pixels.astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
     f, c1 = _transform2d(x, b, inverse=False)
     v, c2 = _transform2d(f * mask.m, b, inverse=True)
@@ -638,8 +649,17 @@ SWING_BLOCKS = np.stack([np.random.default_rng(3).integers(0, 2, (N, N)),
                          _IJ.sum(axis=0) % 2, (_IJ // 2).sum(axis=0) % 2]).astype(np.uint8) * 255
 
 
+def _fixed_blocks(blocks, b, mask):
+    """_fixed_band on (B, 8, 8) pixel blocks laid out as a raster band with as
+    many block rows as B's largest divisor up to its square root: (blocks, clamps)."""
+    rows = max(r for r in range(1, math.isqrt(len(blocks)) + 1) if len(blocks) % r == 0)
+    band = blocks.reshape(rows, -1, N, N).swapaxes(1, 2).reshape(rows * N, -1)
+    out, clamps = _fixed_band(band, b, mask)
+    return out.reshape(rows, N, -1, N).swapaxes(1, 2).reshape(blocks.shape), clamps
+
+
 class TestPrunedEngineOracle:
-    """_fixed_chunk, which runs only what the mask keeps, against the dense
+    """_fixed_band, which runs only what the mask keeps, against the dense
     stage composition and the scalar MAC path."""
 
     @pytest.mark.parametrize("bits", BITWIDTHS)
@@ -651,13 +671,13 @@ class TestPrunedEngineOracle:
         image = np.concatenate(list(SWING_BLOCKS), axis=1)  # blocks side by side
         seen = {}
         for name, mask in PRUNING_MASKS.items():
-            got, got_clamps = _fixed_chunk(many, bits, mask)
+            got, got_clamps = _fixed_blocks(many, bits, mask)
             want, want_clamps = _dense_chunk(many, bits, mask)
             assert np.array_equal(got, want) and got_clamps == want_clamps, name
             mac_clamps.clear()
             scalar, _ = _scalar_pipeline(image, sel, mask)
-            got, got_clamps = _fixed_chunk(SWING_BLOCKS, bits, mask)
-            assert np.array_equal(_unblock(got, N, image.shape[1]), scalar), name
+            got, got_clamps = _fixed_band(image, bits, mask)
+            assert np.array_equal(got, scalar), name
             assert got_clamps == sum(mac_clamps), name
             seen[name] = got_clamps
         assert all(seen[name] > 0 for name in ("allpass", "lowpass:4", "checkerboard", "hole"))
@@ -675,7 +695,7 @@ class TestPrunedEngineOracle:
         rng = np.random.default_rng(seed)
         blocks = np.concatenate([SWING_BLOCKS, rng.integers(0, 2, (8, N, N)) * 255,
                                  rng.integers(0, 256, (8, N, N))]).astype(np.uint8)
-        got, got_clamps = _fixed_chunk(blocks, bits, mask)
+        got, got_clamps = _fixed_blocks(blocks, bits, mask)
         want, want_clamps = _dense_chunk(blocks, bits, mask)
         assert np.array_equal(got, want) and got_clamps == want_clamps
 
@@ -699,6 +719,8 @@ class TestProductTables:
         ones = sum(((np.abs(sv) >> j) & 1) * ((w + (1 << (b - 1 - j))) >> (b - j))
                    for j in range(b))
         want = np.sign(sv) * np.where(c < 0, -1, 1)[:, None, :] * ones
+        # stage 1 takes the raw pixel p: the sample (4 * p) >> (10 - b), never negative
+        pixel_sv = [(4 * p) >> (SAMPLE_WIDTH - b) for p in range(256)]
         for outs in NARROW_OUTS:
             rows = _product_rows(b, inverse, outs)
             width = 1 if len(outs) == 1 else 2 if len(outs) == 2 else 4 if len(outs) <= 4 else 8
@@ -707,18 +729,43 @@ class TestProductTables:
             products = rows.view(np.int16)
             assert np.array_equal(products[..., :len(outs)], want[..., outs]), outs
             assert not products[..., len(outs):].any(), outs
+            if not inverse:
+                by_pixel = _pixel_rows(b, outs)
+                assert by_pixel.shape == (N, 256, 1) and by_pixel.dtype == rows.dtype, outs
+                assert not by_pixel.flags.writeable, outs
+                assert np.array_equal(by_pixel.view(np.int16)[..., :len(outs)],
+                                      want[:, [s + size - 1 for s in pixel_sv]][..., outs]), outs
+
+    @pytest.mark.parametrize("b", BITWIDTHS)
+    def test_saturation_tables_take_every_signed_sum(self, b):
+        # a stage sum lies in [-8 * 2**b, 8 * 2**b] and indexes the table as it is,
+        # negative sums from the end
+        acc = np.arange(-N << b, (N << b) + 1)
+        top = (1 << b) - 1
+        for inverse in (False, True):
+            mag = np.abs(acc) << 2 if inverse else np.abs(acc) >> 2
+            sv = np.sign(acc) * np.minimum(mag, top)
+            table, bound = _saturation(b, inverse)
+            assert table.dtype == np.intp and not table.flags.writeable
+            assert np.array_equal(np.take(table, acc), sv + top)
+            assert bound == np.abs(acc[mag <= top]).max()
+        pixels = _saturation(b, True, pixels=True)[0]
+        assert pixels.dtype == np.uint8 and not pixels.flags.writeable
+        # a pixel is the 10-bit sample over 4, rounded half away from zero
+        raw = (np.sign(acc) * np.minimum(np.abs(acc) << 2, top)) << (SAMPLE_WIDTH - b)
+        want = np.clip(np.sign(raw) * ((np.abs(raw) + 2) >> 2), 0, 255)
+        assert np.array_equal(np.take(pixels, acc), want)
 
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_only_inverse_sums_can_clamp(self, b):
-        # _fixed_chunk drops the forward outputs the mask zeroes, with their clamps:
-        # exact only while no forward sum can leave the unclamped span. The largest
-        # |sum| of an output takes each lane's largest |product|, as the sample
-        # signs are free.
+        # _fixed_band drops the forward outputs the mask zeroes and counts no
+        # forward clamps: exact only while no forward sum can leave the unclamped
+        # span. The largest |sum| of an output takes each lane's largest |product|,
+        # as the sample signs are free.
         for inverse, bound in ((False, (4 << b) - 1), (True, (1 << (b - 2)) - 1)):
             rows = _product_rows(b, inverse, _ALL)
-            lo, hi = _saturation(b, inverse)[1]
             worst = int(np.abs(rows.view(np.int16)).max(axis=1).sum(axis=0).max())
-            assert (lo - (N << b), hi - (N << b)) == (-bound, bound)
+            assert _saturation(b, inverse)[1] == bound
             assert (worst > bound) == inverse, (worst, bound)
 
     @pytest.mark.parametrize("inverse", [False, True])
@@ -731,37 +778,44 @@ class TestProductTables:
         rng = np.random.default_rng(b + 20 * inverse)
         for lanes, outs in [((3,), (0,)), ((0, 5), (1, 2, 7)), ((1, 2, 3, 4, 6), (0, 4)),
                             (_ALL, (0, 1, 2, 3)), ((0, 1, 2, 3), _ALL), (_ALL, _ALL)]:
-            x = rng.integers(-top, top + 1, size=(40, len(lanes), N)).astype(np.int16)
-            x[0] = top
-            dense = np.zeros((len(x), N, N), dtype=np.int16)
-            dense[:, lanes] = x
-            want, want_clamps = _stage(dense, b, inverse, _ALL, _ALL)
-            got, clamps = _stage(x, b, inverse, lanes, outs)
-            assert got.dtype == np.int16 and got.shape == (len(x), N, len(outs))
+            x = rng.integers(-top, top + 1, size=(len(lanes), 40, N)).astype(np.int16)
+            x[:, 0] = top
+            dense = np.zeros((N, len(x[0]), N), dtype=np.int16)
+            dense[list(lanes)] = x
+            want, want_clamps = _stage_samples(dense, b, inverse)
+            got, clamps = _stage_samples(x, b, inverse, lanes, outs)
+            assert got.shape == (40, N, len(outs))
             assert np.array_equal(got, want[..., outs]), (lanes, outs)
             if outs == _ALL:
                 assert clamps == want_clamps, (lanes, outs)
 
 
-def _unblock(blocks, h, w):
-    rows, cols = -(-h // N), -(-w // N)
-    return blocks.reshape(rows, cols, N, N).swapaxes(1, 2).reshape(rows * N, cols * N)[:h, :w]
-
-
 def _whole_image(pixels, mask):
-    """The single-pass formula: every block at once, one width at a time.
+    """The single-pass formula: the whole image as one band, one width at a time.
     Returns (reference image, one PipelineReport per width of BITWIDTHS)."""
     h, w = pixels.shape
-    blocks = _to_blocks(pixels)
-    ref = GrayImage(_unblock(_reference_chunk(blocks, mask), h, w))
+    padded = _pad(pixels)
+    ref = GrayImage(_reference_band(padded, mask)[:h, :w])
     reports = []
     for b in BITWIDTHS:
-        out, clamps = _fixed_chunk(blocks, b, mask)
-        img = GrayImage(_unblock(out, h, w))
-        cycles = (len(blocks) * 2048 << b) // PARALLELISM
+        out, clamps = _fixed_band(padded, b, mask)
+        img = GrayImage(out[:h, :w])
+        cycles = (padded.size // (N * N) * 2048 << b) // PARALLELISM
         reports.append(PipelineReport(img, cycles, clamps, psnr(img, GrayImage(pixels)),
                                       psnr(img, ref)))
     return ref, reports
+
+
+def _per_block_reference(pixels, mask):
+    """The float pipeline block by block: dct2d_ref, the mask, idct2d_ref and
+    round-half-away pixels."""
+    h, w = pixels.shape
+    want = np.zeros((h + N, w + N), dtype=np.uint8)
+    for by, bx, blk in _padded_blocks(pixels):
+        out = idct2d_ref(dct2d_ref(blk / 256.0) * mask.m) * 256.0
+        rounded = np.sign(out) * np.floor(np.abs(out) + 0.5)
+        want[by:by + N, bx:bx + N] = np.clip(rounded, 0, 255)
+    return want[:h, :w]
 
 
 class TestBands:
@@ -784,15 +838,41 @@ class TestBands:
             assert [r.output.pixels.shape for r in got] == [shape] * len(sels)
             assert reference_pipeline(GrayImage(pixels), mask) == ref, shape
 
+    @pytest.mark.parametrize("mask", [FrequencyMask.allpass(), FrequencyMask.lowpass(4),
+                                      PRUNING_MASKS["hole"]], ids=["allpass", "lowpass:4", "hole"])
+    def test_narrow_images(self, mask):
+        # one block column or row; 4100 rows cross a band edge. A float band built
+        # with astype would keep the band's transposed layout, and the reference's
+        # last product would write into a copy
+        assert N * arsc.dct.CHUNK_BLOCKS < 4100
+        rng = np.random.default_rng(17)
+        sels = [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS]
+        for shape in [(16, 8), (8, 16), (1000, 5), (5, 1000), (4100, 8)]:
+            pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
+            pixels[:, ::3] = rng.integers(0, 2, size=pixels[:, ::3].shape) * 255  # full swing
+            ref = _per_block_reference(pixels, mask)
+            assert np.array_equal(reference_pipeline(GrayImage(pixels), mask).pixels, ref), shape
+            blocks = np.stack([blk for _, _, blk in _padded_blocks(pixels)])
+            grid = (-(-shape[0] // N), -(-shape[1] // N), N, N)
+            for b, rep in zip(BITWIDTHS, process_widths(GrayImage(pixels), sels, mask)):
+                out, clamps = _dense_chunk(blocks, b, mask)
+                img = out.reshape(grid).swapaxes(1, 2).reshape(grid[0] * N, -1)
+                img = GrayImage(img[:shape[0], :shape[1]])
+                cycles = (len(blocks) * 2048 << b) // PARALLELISM
+                assert rep == PipelineReport(img, cycles, clamps, psnr(img, GrayImage(pixels)),
+                                             psnr(img, GrayImage(ref))), (shape, b)
 
     @pytest.mark.parametrize("shape", [(8, 8), (16, 24), (9, 8), (8, 13), (1, 1), (23, 40)])
     def test_to_blocks_edge_pads_only_partial_blocks(self, shape):
+        # _pad, the raster padding helper: row r and column c of the padded
+        # raster repeat the nearest edge pixel, and an aligned raster is not copied
         pixels = np.random.default_rng(3).integers(0, 256, size=shape).astype(np.uint8)
         h, w = shape
-        padded = np.pad(pixels, ((0, -h % N), (0, -w % N)), mode="edge")
-        want = [padded[r:r + N, c:c + N] for r in range(0, padded.shape[0], N)
-                for c in range(0, padded.shape[1], N)]
-        assert np.array_equal(_to_blocks(pixels), want)
+        rows = np.minimum(np.arange(-(-h // N) * N), h - 1)
+        cols = np.minimum(np.arange(-(-w // N) * N), w - 1)
+        got = _pad(pixels)
+        assert np.array_equal(got, pixels[np.ix_(rows, cols)])
+        assert (got is pixels) == (h % N == 0 and w % N == 0)
 
 
 class TestGrayImage:

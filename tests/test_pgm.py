@@ -38,9 +38,22 @@ def test_truncated_header_reports_offset(tmp_path):
 
 def test_truncated_raster_reports_offset(tmp_path):
     p = tmp_path / "t.pgm"
-    p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-    with pytest.raises(ValueError, match=r"byte \d+"):
-        read_pgm(p)
+    for found in (0, 7, 15):
+        p.write_bytes(b"P5\n4 4\n255\n" + bytes(found))
+        message = f"truncated raster at byte {11 + found}: expected 16 bytes, found {found}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_pgm(p)
+
+
+def test_written_file_is_header_then_raster_in_c_order(tmp_path):
+    pixels = np.random.default_rng(5).integers(0, 256, size=(6, 9)).astype(np.uint8)
+    for view in (pixels, pixels.T, pixels[::2, ::3]):
+        p = tmp_path / "v.pgm"
+        write_pgm(GrayImage(view), p)
+        h, w = view.shape
+        assert p.read_bytes() == f"P5\n{w} {h}\n255\n".encode() + view.tobytes()
+        got = read_pgm(p).pixels
+        assert np.array_equal(got, view) and got.flags.writeable
 
 
 def test_wrong_magic(tmp_path):
