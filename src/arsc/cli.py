@@ -71,7 +71,7 @@ def parse_mask(spec: str) -> FrequencyMask:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            cells = line.split() if " " in line else list(line)
+            cells = line.split() if any(c.isspace() for c in line) else list(line)
             where = f"mask file {path} line {lineno}"
             if len(cells) != N:
                 raise ValueError(f"{where}: {len(cells)} entries, expected {N}")

@@ -59,16 +59,6 @@ def idct1d_ref(f) -> np.ndarray:
     return dct_basis().T @ np.asarray(f, dtype=np.float64)
 
 
-def dct2d_ref(block) -> np.ndarray:
-    c = dct_basis()
-    return c @ np.asarray(block, dtype=np.float64) @ c.T
-
-
-def idct2d_ref(block) -> np.ndarray:
-    c = dct_basis()
-    return c.T @ np.asarray(block, dtype=np.float64) @ c
-
-
 @dataclass(frozen=True, eq=False)
 class FrequencyMask:
     """Binary 8x8 frequency-domain mask: 1 keeps a coefficient, 0 zeroes it.

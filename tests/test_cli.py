@@ -752,9 +752,11 @@ class TestMaskParsing:
         assert int(m.m.sum()) == 1 and m.m[0, 0] == 1
 
     def test_file_mask_spaced(self, tmp_path):
+        # any whitespace separates the digits
         p = tmp_path / "mask.txt"
-        p.write_text("1 1 0 0 0 0 0 0\n" + "0 0 0 0 0 0 0 0\n" * 7)
-        assert int(parse_mask(f"file:{p}").m.sum()) == 2
+        for sep in (" ", "\t"):
+            p.write_text(sep.join("11000000") + "\n" + (sep.join("00000000") + "\n") * 7)
+            assert int(parse_mask(f"file:{p}").m.sum()) == 2, repr(sep)
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):

@@ -28,10 +28,8 @@ from arsc.dct import (
     _saturation,
     _stage,
     dct1d_ref,
-    dct2d_ref,
     dct_basis,
     idct1d_ref,
-    idct2d_ref,
     process_image,
     process_widths,
     psnr,
@@ -48,6 +46,18 @@ def sm(sign, raw, width=SAMPLE_WIDTH):
 
 def const_vector(raw, sign=1):
     return [sm(sign, raw)] * N
+
+
+def dct2d_ref(block):
+    """Reference forward 2D transform (float64): C @ block @ C^T."""
+    c = dct_basis()
+    return c @ np.asarray(block, dtype=np.float64) @ c.T
+
+
+def idct2d_ref(block):
+    """Reference inverse 2D transform (float64): C^T @ block @ C."""
+    c = dct_basis()
+    return c.T @ np.asarray(block, dtype=np.float64) @ c
 
 
 # The scalar oracle of the batched engine: one mac() call per output of a 1D
@@ -698,6 +708,30 @@ class TestPrunedEngineOracle:
         got, got_clamps = _fixed_blocks(blocks, bits, mask)
         want, want_clamps = _dense_chunk(blocks, bits, mask)
         assert np.array_equal(got, want) and got_clamps == want_clamps
+
+    def test_stage3_witness(self):
+        # Keep only row 0, at columns S. In float, stage 3's output at pixel column j
+        # is 1/4 * sum_j' P[j, j'] * Y[0, j'] with P = C[S]^T C[S], so block j, whose
+        # pixel column j' is 255 where P[j, j'] > 0 and 0 elsewhere, drives it to
+        # its extreme; with S = {0, 1, 4} it clamps at b=6
+        cols = [0, 1, 4]
+        keep = np.zeros((N, N), dtype=int)
+        keep[0, cols] = 1
+        mask = FrequencyMask(keep)
+        proj = dct_basis()[cols].T @ dct_basis()[cols]
+        blocks = np.repeat(proj[:, None, :] > 0, N, axis=1).astype(np.uint8) * 255
+        image = GrayImage(np.concatenate(list(blocks), axis=1))  # blocks side by side
+        reports = process_widths(image, [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS], mask)
+        for b, rep in zip(BITWIDTHS, reports):
+            want, want_clamps = _dense_chunk(blocks, b, mask)
+            assert np.array_equal(rep.output.pixels, np.concatenate(list(want), axis=1)), b
+            assert rep.clamp_count == want_clamps, b
+        assert [rep.clamp_count for rep in reports] == [128, 128, 128, 128, 164]
+        # the dense first inverse pass alone: stage 3's own count
+        x = (blocks.astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - 6)
+        f, _ = _transform2d(x, 6, inverse=False)
+        _, stage3 = _stage_samples((f * mask.m).transpose(2, 1, 0), 6, inverse=True)
+        assert stage3 > 0
 
 
 # output sets of a stage, of every padded row width
