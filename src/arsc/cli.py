@@ -27,11 +27,10 @@ from .platform_model import (
     PlatformConfig,
     calibrate_platform,
     calibration_residuals,
-    frequency_at_year,
     load_platform,
-    min_bitwidth_for_throughput,
     min_frequency_for_throughput,
     save_platform,
+    select_config,
     throughput,
 )
 from .sc_core import ALTERNATE_TAPS, LfsrConfig, verify_multiplier
@@ -61,7 +60,7 @@ def parse_mask(spec: str) -> FrequencyMask:
         if not path:
             raise ValueError(f"mask spec {spec!r}: empty file path")
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as e:
             raise ValueError(
                 f"mask file {path}: not UTF-8 text ({e.reason} at byte {e.start})"
@@ -171,14 +170,10 @@ def cmd_aging(args) -> int:
     # every row is computed and checked before any is printed, so a year outside
     # the schedule or an overflow fails with empty stdout
     for year in range(args.years + 1):
-        freq = frequency_at_year(cfg.schedule, float(year))
-        b = min_bitwidth_for_throughput(cfg.cycle_model, freq, args.target)
-        if b is None:
-            row = [str(year), _fmt(freq, 4), "", "", "no"]
-        else:
-            tp = throughput(cfg.cycle_model, b, freq)
-            row = [str(year), _fmt(freq, 4), str(b), _fmt(tp, 4), "yes"]
-        rows.append(row)
+        op = select_config(cfg.cycle_model, cfg.power_model, cfg.schedule, float(year), args.target)
+        chosen = (["", "", "no"] if op.bitwidth is None
+                  else [str(op.bitwidth), _fmt(op.throughput_fps, 4), "yes"])
+        rows.append([str(year), _fmt(op.frequency_mhz, 4), *chosen])
     _finite_rows(AGING_HEADER, rows)
     print(AGING_HEADER)
     for row in rows:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -106,13 +107,13 @@ class AgingSchedule:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """A chosen (bit-width, frequency) pair and its implied metrics."""
+    """A chosen (bit-width, frequency) pair and its metrics; None where no bit-width is feasible."""
 
-    bitwidth: int
+    bitwidth: Optional[int]
     frequency_mhz: float
-    throughput_fps: float
+    throughput_fps: Optional[float]
     power_w: float
-    latency_s: float
+    latency_s: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,13 @@ def _check_residuals(what: str, labels, residuals) -> None:
         raise CalibrationError(f"{what} fit residuals exceed 5%: {detail}")
 
 
-def _fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    slope, intercept = np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)
+def _fit_line(what: str, x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing or rank-deficient fit is refused
+            slope, intercept = np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)
+    except Warning as e:
+        raise CalibrationError(f"{what} fit failed: {e}") from None
     return float(slope), float(intercept)
 
 
@@ -178,7 +184,7 @@ def calibrate_cycles(rows: Sequence[tuple[int, float, float]]) -> CycleModel:
     if not all(0 < c < math.inf for c in cycles):
         raise CalibrationError("latencies must be positive and finite")
 
-    c_sc, c_ovh = _fit_line(x, cycles)
+    c_sc, c_ovh = _fit_line("cycle", x, cycles)
     if c_sc <= 0:
         raise CalibrationError(f"fit produced non-increasing cycle model (c_sc={c_sc:.4g})")
     # two exact rows can land imperceptibly below zero
@@ -210,7 +216,7 @@ def calibrate_power(rows: Sequence[tuple[float, float]]) -> PowerModel:
     if len(set(freqs)) < 2:
         raise CalibrationError("power rows must cover at least two distinct frequencies")
 
-    p_dyn, p_static = _fit_line(freqs, watts)
+    p_dyn, p_static = _fit_line("power", freqs, watts)
     if p_dyn <= 0:
         raise CalibrationError(f"fit produced non-increasing power model (p_dyn={p_dyn:.4g})")
     if p_static < -1e-9:
@@ -295,13 +301,11 @@ def select_config(
     target: float,
 ) -> OperatingPoint:
     """Pick the operating point at year t: aged clock, most accurate
-    feasible bit-width, implied throughput/power/latency."""
+    feasible bit-width or None, implied throughput/power/latency."""
     freq = frequency_at_year(s, t)
     b = min_bitwidth_for_throughput(cm, freq, target)
     if b is None:
-        raise ValueError(
-            f"target {target:g} fps infeasible at {freq:g} MHz even at 6-bit accuracy"
-        )
+        return OperatingPoint(None, freq, None, pm.power(freq), None)
     tp = throughput(cm, b, freq)
     return OperatingPoint(b, freq, tp, pm.power(freq), 1.0 / tp)
 

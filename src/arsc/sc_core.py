@@ -27,12 +27,6 @@ MAXIMAL_TAPS: dict[int, tuple[int, ...]] = {
     8: (8, 6, 5, 4),
     9: (9, 5),
     10: (10, 7),
-    11: (11, 9),
-    12: (12, 11, 10, 4),
-    13: (13, 12, 11, 8),
-    14: (14, 13, 12, 2),
-    15: (15, 14),
-    16: (16, 15, 13, 4),
 }
 
 # Alternate primitive polynomials for the same widths, used when two
@@ -47,12 +41,6 @@ ALTERNATE_TAPS: dict[int, tuple[int, ...]] = {
     8: (8, 4, 3, 2),
     9: (9, 4),
     10: (10, 3),
-    11: (11, 2),
-    12: (12, 6, 4, 1),
-    13: (13, 4, 3, 1),
-    14: (14, 5, 3, 1),
-    15: (15, 1),
-    16: (16, 12, 3, 1),
 }
 
 
@@ -94,7 +82,7 @@ class LfsrConfig:
 
     def __post_init__(self):
         if self.width not in MAXIMAL_TAPS:
-            raise ValueError(f"unsupported LFSR width {self.width}; supported 3..16")
+            raise ValueError(f"unsupported LFSR width {self.width}; supported 3..10")
         taps = tuple(self.taps) or MAXIMAL_TAPS[self.width]
         taps = tuple(sorted(set(taps), reverse=True))
         if min(taps) < 1 or max(taps) != self.width:
@@ -292,16 +280,15 @@ class MultiplierCheck(NamedTuple):
 
 
 def verify_multiplier(n: int, cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
-    """Check both multipliers over every operand pair of width n (3..14).
+    """Check both multipliers on each operand pair of width n (3..10: int16 counts, int32 errors).
 
     The count of each ``sng_deterministic`` stream ANDed with ``unary_gen(w)``
     must equal the product p, ``prefix_ones_table``. The conventional count
     c[x, w] = #{i : sx_i < x and sw_i < w} is that of two ANDed
     ``sng_conventional`` streams. Operands run in blocks of VERIFY_ROWS.
     """
-    if not cfg_x.width == cfg_w.width == n <= 14:  # int16 counts, int32 errors
-        raise ValueError(f"width {n} must be at most 14 and match LFSR widths "
-                         f"{cfg_x.width}, {cfg_w.width}")
+    if not cfg_x.width == cfg_w.width == n:
+        raise ValueError(f"width {n} must match LFSR widths {cfg_x.width}, {cfg_w.width}")
     size, rows = 1 << n, min(VERIFY_ROWS, 1 << n)
     w = np.arange(size + 1, dtype=np.int32)
     product = prefix_ones_table(n, w)
@@ -324,7 +311,7 @@ def verify_multiplier(n: int, cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> Multiplie
         x1 = x0 + rows
         np.take(columns[x0:x1], ctz, axis=1, out=streams, mode="clip")
         # P[x, w] counts stream x's first w bits for all w iff P[x, 0] = 0 and each increment
-        # is the emitted bit. Increments may wrap in int16, but P and every count (0..2**14)
+        # is the emitted bit. Increments may wrap in int16, but P and every count (0..2**10)
         # then agree mod 2**16 within one int16 range, so are equal; failing rows get counted
         block = product[x0:x1]
         np.subtract(block[:, 1:], block[:, :-1], out=step)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from arsc.platform_model import (
     default_platform,
     load_platform,
     save_platform,
+    select_config,
 )
 from arsc.refimage import reference_image
 from arsc.sc_core import (
@@ -213,6 +215,28 @@ class TestAging:
         assert rc == 0
         lines = rep.read_text().splitlines()
         assert all(ln.endswith("no") for ln in lines[1:])
+
+    @pytest.mark.parametrize("target", ["7.19", "9", "1e6"])
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["bundled", "calibrated"])
+    def test_rows_are_select_config_records(self, tmp_path, target, calibrated):
+        platform = []
+        if calibrated:  # three of the published rows, latencies 30% longer: a slower fit
+            rows = tmp_path / "rows.csv"
+            rows.write_text("bitwidth,freq_mhz,power_w,latency_s\n10,85.7,0.292,0.1807\n"
+                            "8,22.9,0.120,0.0481\n6,7.1,0.077,0.0156\n")
+            assert main(["calibrate", "--rows", str(rows), "--out", str(tmp_path / "p.json")]) == 0
+            platform = ["--platform", str(tmp_path / "p.json")]
+        rep = tmp_path / "aging.csv"
+        assert main(["aging", "--target", target, *platform, "--report", str(rep)]) == 0
+        cfg = load_platform(tmp_path / "p.json" if calibrated else None)
+        want = []
+        for year in range(11):
+            op = select_config(cfg.cycle_model, cfg.power_model, cfg.schedule, float(year),
+                               float(target))
+            chosen = (",,,no" if op.bitwidth is None
+                      else f",{op.bitwidth},{op.throughput_fps:.4f},yes")
+            want.append(f"{year},{op.frequency_mhz:.4f}{chosen}")
+        assert rep.read_text().splitlines()[1:] == want
 
     def test_years_beyond_schedule(self):
         assert main(["aging", "--target", "7.19", "--years", "12"]) == 1
@@ -666,6 +690,24 @@ class TestCalibrate:
         assert captured.err.count("\n") == 1
         assert not cfg_path.exists()
 
+    @pytest.mark.parametrize("freq,message", [
+        ("1e308", "power fit failed: overflow encountered in multiply"),
+        ("85.70000000000002", "power fit failed: Polyfit may be poorly conditioned"),
+    ], ids=["overflow", "rank-deficient"])
+    def test_failed_fit_is_one_error_line(self, tmp_path, capsys, freq, message):
+        # numpy's warnings would be extra stderr lines. Two frequencies 1 ulp apart leave
+        # the line through the two rows undetermined, yet polyfit returns one
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"bitwidth,freq_mhz,power_w,latency_s\n10,85.7,0.292,0.139\n"
+                        f"9,{freq},0.177,0.071\n")
+        cfg_path = tmp_path / "p.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"calibration error: {message}\n")
+        assert not cfg_path.exists()
+
     def test_single_row_fails(self, tmp_path):
         rows = tmp_path / "rows.csv"
         rows.write_text("bitwidth,freq_mhz,power_w,latency_s\n10,85.7,0.292,0.139\n")
@@ -758,6 +800,15 @@ class TestMaskParsing:
             p.write_text(sep.join("11000000") + "\n" + (sep.join("00000000") + "\n") * 7)
             assert int(parse_mask(f"file:{p}").m.sum()) == 2, repr(sep)
 
+    def test_file_mask_with_utf8_bom(self, tmp_path):
+        # some editors start a text file with a byte-order mark
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        for text in ("10000001\n01000010\n00100100\n00011000\n" * 2,
+                     "1 0 0 0 0 0 0 1\n" * 8):
+            plain.write_text(text)
+            bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert parse_mask(f"file:{bom}") == parse_mask(f"file:{plain}")
+
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             parse_mask("bandpass")
@@ -769,6 +820,8 @@ class TestMaskParsing:
             (b"1x111111\n", "file", " line 1: entries must be 0 or 1"),
             (b"P5\n8 8\n255\n\x80", "file",
              ": not UTF-8 text (invalid start byte at byte 11)"),
+            # the offset counts the BOM's three bytes: it is the file's own
+            (b"\xef\xbb\xbf10\x80", "file", ": not UTF-8 text (invalid start byte at byte 5)"),
             (None, "lowpass:x", "mask spec 'lowpass:x': lowpass corner must be an integer"),
             (None, "file:", "mask spec 'file:': empty file path"),
             (None, "lowpass:+0_4",
@@ -776,8 +829,8 @@ class TestMaskParsing:
             (None, "lowpass:9", "mask spec 'lowpass:9': lowpass corner 9 out of range 1..8"),
             (None, "lowpass:0", "mask spec 'lowpass:0': lowpass corner 0 out of range 1..8"),
         ],
-        ids=["ragged", "non-digit", "non-utf8", "lowpass-x", "file-empty-path",
-             "lowpass-sign-separator", "lowpass-9", "lowpass-0"],
+        ids=["ragged", "non-digit", "non-utf8", "non-utf8-after-bom", "lowpass-x",
+             "file-empty-path", "lowpass-sign-separator", "lowpass-9", "lowpass-0"],
     )
     def test_bad_spec_is_one_error_line(self, tmp_path, small_image, capsys, data, spec,
                                         message):

@@ -221,8 +221,11 @@ class TestSelectConfig:
         assert select_config(cm, pm, schedule, 7.0, 0.001).bitwidth == 10
 
     def test_infeasible_target(self, cm, pm, schedule):
-        with pytest.raises(ValueError):
-            select_config(cm, pm, schedule, 0.0, 1e6)
+        # no width is chosen, but the aged clock and its power are still reported
+        op = select_config(cm, pm, schedule, 3.0, 1e6)
+        assert op.bitwidth is None and op.throughput_fps is None and op.latency_s is None
+        assert op.frequency_mhz == frequency_at_year(schedule, 3.0)
+        assert op.power_w == pm.power(op.frequency_mhz)
 
     def test_monotone_in_frequency(self, cm, pm):
         # a lower clock never yields a larger chosen width

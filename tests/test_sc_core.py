@@ -84,7 +84,7 @@ class TestLfsr:
         with pytest.raises(ValueError):
             LfsrConfig(2)
         with pytest.raises(ValueError):
-            LfsrConfig(17)
+            LfsrConfig(11)  # widths 3..10, those verify-mul runs
         with pytest.raises(ValueError):
             LfsrConfig(4, taps=(3, 2))  # missing the degree itself
         with pytest.raises(ValueError):
@@ -292,7 +292,7 @@ def conventional_and_counts(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> np.ndarray:
     sng_conventional(w, 2**n, cfg_w)))``, i.e. #{i : sx_i < x and sw_i < w}
     over the first 2**n states of each LFSR. It is the 2D prefix sum of the
     occupancy grid of (sx_i, sw_i), shifted by one so the bounds are strict;
-    int32 holds every count up to 2**16 (the widest LFSR).
+    int32 holds every count up to 2**10 (the widest LFSR).
     """
     if cfg_x.width != cfg_w.width:
         raise ValueError(f"LFSR widths differ: {cfg_x.width} vs {cfg_w.width}")
@@ -500,5 +500,5 @@ class TestVerifyMultiplier:
     def test_bad_widths_refused(self):
         with pytest.raises(ValueError, match="LFSR widths 4, 5"):
             verify_multiplier(4, LfsrConfig(4), LfsrConfig(5))
-        with pytest.raises(ValueError, match="at most 14"):
-            verify_multiplier(15, LfsrConfig(15), LfsrConfig(15, ALTERNATE_TAPS[15]))
+        with pytest.raises(ValueError, match="width 5 must match LFSR widths 4, 4"):
+            verify_multiplier(5, LfsrConfig(4), LfsrConfig(4, ALTERNATE_TAPS[4]))
