@@ -19,9 +19,9 @@ import math
 import sys
 from pathlib import Path
 
-from .dct import N, FrequencyMask, process_image, process_widths
+from .dct import N, FrequencyMask, _band_pass, _band_rows
 from .mac import AccuracySelect, BITWIDTHS
-from .pgm import read_pgm, write_pgm
+from .pgm import pgm_reader, pgm_writer
 from .platform_model import (
     CalibrationError,
     PlatformConfig,
@@ -120,22 +120,23 @@ def _metric_row(cfg: PlatformConfig, b: int, freq: float, psnr_db: float):
 
 
 def cmd_compress(args) -> int:
-    img = read_pgm(args.input)
-    sel = AccuracySelect.from_bitwidth(args.bits)
-    mask = parse_mask(args.mask)
-    cfg = load_platform(args.platform)
+    # bands stream from the input through the pipeline into an output that appears only whole
+    with pgm_reader(args.input) as (width, height, bands):
+        sel = AccuracySelect.from_bitwidth(args.bits)
+        mask = parse_mask(args.mask)
+        cfg = load_platform(args.platform)
+        with pgm_writer(args.output, width, height) as write:
+            [(cycles, clamps, psnr_input, psnr_reference)] = _band_pass(
+                bands(_band_rows(width)), [sel], mask, lambda k, rows: write(rows))
+            row = _metric_row(cfg, args.bits, cfg.base_freq_mhz, psnr_reference)
+            rows = _finite_rows(REPORT_HEADER, [row] if args.report else [])  # before --out appears
 
-    report = process_image(img, sel, mask)
-    row = _metric_row(cfg, args.bits, cfg.base_freq_mhz, report.psnr_vs_reference)
-    rows = _finite_rows(REPORT_HEADER, [row] if args.report else [])  # before any output
-    write_pgm(report.output, args.output)
-
-    print(f"input: {args.input} ({img.width}x{img.height})")
+    print(f"input: {args.input} ({width}x{height})")
     print(f"bitwidth: {args.bits}  mask: {args.mask}")
-    print(f"psnr_vs_input_db: {_fmt(report.psnr_vs_input, 4)}")
-    print(f"psnr_vs_reference_db: {_fmt(report.psnr_vs_reference, 4)}")
-    print(f"simulated_cycles_fixed: {report.total_cycles_fixed}")
-    print(f"clamp_count: {report.clamp_count}")
+    print(f"psnr_vs_input_db: {_fmt(psnr_input, 4)}")
+    print(f"psnr_vs_reference_db: {_fmt(psnr_reference, 4)}")
+    print(f"simulated_cycles_fixed: {cycles}")
+    print(f"clamp_count: {clamps}")
     print(f"wrote: {args.output}")
 
     if args.report:
@@ -144,14 +145,16 @@ def cmd_compress(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    img = read_pgm(args.input)
-    mask = parse_mask(args.mask)
-    cfg = load_platform(args.platform)
-
-    reports = process_widths(img, [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS], mask)
+    with pgm_reader(args.input) as (width, _, bands):
+        mask = parse_mask(args.mask)
+        cfg = load_platform(args.platform)
+        # no sink: each width's rows are reduced to their errors, and no image is kept
+        stats = _band_pass(bands(_band_rows(width)),
+                           [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS], mask)
     freqs = [min_frequency_for_throughput(cfg.cycle_model, b, args.target) for b in BITWIDTHS]
-    rows = _finite_rows(REPORT_HEADER, [_metric_row(cfg, b, freq, rep.psnr_vs_reference)
-                                        for b, freq, rep in zip(BITWIDTHS, freqs, reports)])
+    rows = _finite_rows(REPORT_HEADER, [_metric_row(cfg, b, freq, psnr_reference)
+                                        for b, freq, (*_, psnr_reference)
+                                        in zip(BITWIDTHS, freqs, stats)])
     print(REPORT_HEADER)
     for b, freq, row in zip(BITWIDTHS, freqs, rows):
         print(",".join(row))

@@ -245,12 +245,15 @@ def _pad(pixels: np.ndarray) -> np.ndarray:
     return pixels
 
 
+def _band_rows(width: int) -> int:
+    """Rows of a band of whole block rows at this width: about CHUNK_BLOCKS blocks."""
+    return N * max(1, CHUNK_BLOCKS // -(-width // N))
+
+
 def _bands(pixels: np.ndarray):
-    """(first row, pixel rows, those rows padded) of each band of whole block rows,
-    at least one and about CHUNK_BLOCKS blocks; only the last one is short."""
-    step = N * max(1, CHUNK_BLOCKS // -(-pixels.shape[1] // N))
-    for y in range(0, pixels.shape[0], step):
-        yield y, pixels[y:y + step], _pad(pixels[y:y + step])
+    """The raster's bands of _band_rows rows; only the last one is short."""
+    step = _band_rows(pixels.shape[1])
+    return (pixels[y:y + step] for y in range(0, pixels.shape[0], step))
 
 
 def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
@@ -282,27 +285,54 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
     return pixels.reshape(band.shape), int(clamps)
 
 
-def _reference_band(band: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    """Float64 pipeline of a padded raster band: its pixels."""
+def _reference_band(band: np.ndarray, mask: FrequencyMask, work=None) -> np.ndarray:
+    """Float64 pipeline of a padded raster band: its pixels. `work`, at least
+    2 * band.size float64s, is scratch for the products (see _band_pass)."""
     c = dct_basis()
-    # one GEMM per product over [row, block, column]; p/256 is exact, so left out.
-    # Not astype: x must be C-contiguous for the last product to write into it
-    x = np.ascontiguousarray(band.reshape(-1, N, band.shape[1]).swapaxes(0, 1), np.float64)
-    f = ((c @ x.reshape(N, -1)).reshape(-1, N) @ c.T).reshape(N, -1, N)
-    f *= mask.m.astype(np.float64)[:, None, :]
-    # the last product overwrites x, so at most three band-sized arrays live
-    np.matmul((c.T @ f.reshape(N, -1)).reshape(-1, N), c, out=x.reshape(-1, N))
+    # x and y take turns as the input and the output of one GEMM per product over
+    # [row, block, column]; p/256 is exact, so left out
+    x, y = (np.empty(2 * band.size) if work is None else work[:2 * band.size]).reshape(2, N, -1)
+    raster = x.reshape(N, -1, band.shape[1])  # [pixel row of a block, block row, column]
+    np.copyto(raster, band.reshape(-1, N, band.shape[1]).swapaxes(0, 1))
+    np.matmul(c, x, out=y)
+    np.matmul(y.reshape(-1, N), c.T, out=x.reshape(-1, N))
+    x.reshape(N, -1, N)[...] *= mask.m.astype(np.float64)[:, None, :]
+    np.matmul(c.T, x, out=y)
+    np.matmul(y.reshape(-1, N), c, out=x.reshape(-1, N))
     # negatives clip to 0 and the cast truncates, so x + 0.5 rounds half away from zero
     np.clip(np.add(x, 0.5, out=x), 0, 255, out=x)
-    return x.swapaxes(0, 1).astype(np.uint8, order="C").reshape(band.shape)
+    return raster.swapaxes(0, 1).astype(np.uint8, order="C").reshape(band.shape)
 
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
     """Float64 pipeline with the same blocks, bands and mask; the accuracy baseline."""
-    out = np.empty_like(img.pixels)
-    for y, band, padded in _bands(img.pixels):
-        out[y:y + len(band)] = _reference_band(padded, mask)[:len(band), :band.shape[1]]
-    return GrayImage(out)
+    return GrayImage(np.concatenate([_reference_band(_pad(band), mask)[:len(band), :img.width]
+                                     for band in _bands(img.pixels)]))
+
+
+def _band_pass(bands, sels, mask: FrequencyMask, sink=None):
+    """process_widths over an image's bands of whole block rows (only the last one short),
+    in order. Width k's output rows go to sink(k, rows) if given, valid only during the
+    call. Returns per width: total cycles, clamps, and PSNR against input and reference."""
+    h = w = 0
+    totals = np.zeros((len(sels), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
+    work = None
+    for band in bands:
+        (rows, w), padded = band.shape, _pad(band)
+        h += rows
+        # one float64 scratch for the pass, sized by the first and largest band: a new
+        # one per band would be handed back to the system by malloc and faulted back in
+        work = np.empty(2 * padded.size) if work is None else work
+        ref = _reference_band(padded, mask, work)[:rows, :w]
+        for k, sel in enumerate(sels):
+            pixels, count = _fixed_band(padded, sel.bitwidth, mask)
+            got = pixels[:rows, :w]
+            if sink:
+                sink(k, got)
+            totals[k] += count, _sse(got, band), _sse(got, ref)
+    slots = -(-h // N) * -(-w // N) * 2 * _TRANSFORM_SLOTS  # forward + inverse
+    return [((slots << sel.bitwidth) // PARALLELISM, count, _psnr_db(si, h * w),
+             _psnr_db(sr, h * w)) for sel, (count, si, sr) in zip(sels, totals.tolist())]
 
 
 def process_widths(img: GrayImage, sels, mask: FrequencyMask) -> list[PipelineReport]:
@@ -314,20 +344,11 @@ def process_widths(img: GrayImage, sels, mask: FrequencyMask) -> list[PipelineRe
     and run through the float reference once, then through every width.
     Total cycles are the fixed MAC schedules over PARALLELISM pixels a cycle.
     """
-    h, w = img.pixels.shape
     outs = [np.empty_like(img.pixels) for _ in sels]
-    totals = np.zeros((len(sels), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
-    for y, band, padded in _bands(img.pixels):
-        ref = _reference_band(padded, mask)[:len(band), :w]
-        for k, sel in enumerate(sels):
-            pixels, count = _fixed_band(padded, sel.bitwidth, mask)
-            got = outs[k][y:y + len(band)]
-            got[...] = pixels[:len(band), :w]
-            totals[k] += count, _sse(got, band), _sse(got, ref)
-    slots = -(-h // N) * -(-w // N) * 2 * _TRANSFORM_SLOTS  # forward + inverse
-    return [PipelineReport(GrayImage(out), (slots << sel.bitwidth) // PARALLELISM,
-                           count, _psnr_db(si, h * w), _psnr_db(sr, h * w))
-            for sel, out, (count, si, sr) in zip(sels, outs, totals.tolist())]
+    dests = [_bands(out) for out in outs]  # each output's bands, in step with the input's
+    stats = _band_pass(_bands(img.pixels), sels, mask,
+                       lambda k, rows: np.copyto(next(dests[k]), rows))
+    return [PipelineReport(GrayImage(out), *s) for out, s in zip(outs, stats)]
 
 
 def process_image(img: GrayImage, sel: AccuracySelect, mask: FrequencyMask) -> PipelineReport:

@@ -1,73 +1,102 @@
-"""Binary PGM (P5) image I/O, maxval 255 only."""
+"""Binary PGM (P5) image I/O, maxval 255 only, streamed in row bands."""
 
 from __future__ import annotations
 
+import io
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .dct import GrayImage
 
-# one-byte slices only: b"" is in every bytes object, so callers check pos first
+# one-byte slices only: b"" is in every bytes object, so callers check for it first
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+@contextmanager
+def pgm_reader(path):
+    """(width, height, bands) of a binary PGM file; malformed input reports the byte offset.
+
+    The header, and the raster length against the file size, are checked on
+    entry. bands(rows) yields the raster top to bottom in bands of `rows` rows,
+    read into one reused buffer: a band is valid until the next.
+    """
+    with open(path, "rb") as f:
+        if not f.seekable():  # a pipe: read whole, for its size
+            f = io.BufferedReader(io.BytesIO(f.read()))
+        size = f.seek(0, os.SEEK_END)
+        f.seek(0)
+
+        def token() -> bytes:
+            tok = bytearray()
+            while (c := f.peek(1)[:1]) and not (tok and c in _WHITESPACE):
+                f.read(1)
+                if c == b"#" and not tok:  # a comment runs to the end of its line
+                    while f.peek(1)[:1] not in (b"", b"\r", b"\n"):
+                        f.read(1)
+                elif c not in _WHITESPACE:
+                    tok += c
+            if not tok:
+                raise ValueError(f"truncated PGM header at byte {f.tell()}")
+            return bytes(tok)
+
+        def int_token(what: str) -> int:
+            tok = token()
+            # ASCII decimal digits only: int() would also take b"+8" or b"1_6"
+            if not tok.isdigit():
+                raise ValueError(f"bad {what} {tok!r} at byte {f.tell() - len(tok)}")
+            return int(tok)
+
+        magic = token()
+        if magic != b"P5":
+            raise ValueError(f"not a binary PGM (magic {magic!r} at byte 0)")
+        width, height, maxval = (int_token(what) for what in ("width", "height", "maxval"))
+        if width <= 0 or height <= 0:
+            raise ValueError(f"bad dimensions {width}x{height}")
+        if maxval != 255:
+            raise ValueError(f"unsupported maxval {maxval} (only 255)")
+        # exactly one whitespace byte before the raster; at the end of the file the read fails
+        if f.peek(1)[:1] not in _WHITESPACE or not f.read(1):
+            raise ValueError(f"missing whitespace after header at byte {f.tell()}")
+        if size - f.tell() < width * height:
+            raise ValueError(f"truncated raster at byte {size}: "
+                             f"expected {width * height} bytes, found {size - f.tell()}")
+
+        def bands(rows: int):
+            buf = np.empty((min(rows, height), width), np.uint8)
+            for y in range(0, height, rows):
+                if f.readinto(band := buf[:height - y]) != band.nbytes:
+                    raise ValueError(f"{path} shrank while it was read")
+                yield band
+
+        yield width, height, bands
 
 
 def read_pgm(path) -> GrayImage:
     """Read a binary PGM file; malformed input reports the byte offset."""
-    data = Path(path).read_bytes()
-    pos = 0
+    with pgm_reader(path) as (_, height, bands):
+        return GrayImage(next(bands(height)))
 
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c in _WHITESPACE:
-                pos += 1
-            elif c == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\r", b"\n"):
-                    pos += 1
-            else:
-                break
-        if pos >= len(data):
-            raise ValueError(f"truncated PGM header at byte {pos}")
-        start = pos
-        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
-            pos += 1
-        return data[start:pos]
 
-    def int_token(what: str) -> int:
-        tok = token()
-        # ASCII decimal digits only: int() would also take b"+8" or b"1_6"
-        if not tok.isdigit():
-            raise ValueError(f"bad {what} {tok!r} at byte {pos - len(tok)}")
-        return int(tok)
-
-    magic = token()
-    if magic != b"P5":
-        raise ValueError(f"not a binary PGM (magic {magic!r} at byte 0)")
-    width = int_token("width")
-    height = int_token("height")
-    maxval = int_token("maxval")
-    if width <= 0 or height <= 0:
-        raise ValueError(f"bad dimensions {width}x{height}")
-    if maxval != 255:
-        raise ValueError(f"unsupported maxval {maxval} (only 255)")
-    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
-        raise ValueError(f"missing whitespace after header at byte {pos}")
-    pos += 1  # exactly one whitespace byte before the raster
-
-    expected = width * height
-    if len(data) - pos < expected:
-        raise ValueError(
-            f"truncated raster at byte {len(data)}: "
-            f"expected {expected} bytes, found {len(data) - pos}"
-        )
-    pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width)
-    return GrayImage(pixels.copy())
+@contextmanager
+def pgm_writer(path, width: int, height: int):
+    """A function writing a binary PGM file's raster in row bands, top to bottom, to a
+    temporary file beside the resolved path. It replaces the path when the with block
+    ends without an exception, and is removed on any failure."""
+    path = Path(path).resolve()
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+            yield lambda rows: f.write(np.ascontiguousarray(rows))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone once replaced
 
 
 def write_pgm(img: GrayImage, path) -> None:
     """Write a binary PGM file."""
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(img.pixels))
+    with pgm_writer(path, img.width, img.height) as write:
+        write(img.pixels)

@@ -99,6 +99,12 @@ class AgingSchedule:
             raise ValueError("anchor years must be strictly increasing")
         if any(b > a for a, b in zip(freqs, freqs[1:])):
             raise ValueError("anchor frequencies must be non-increasing")
+        if freqs[-1] <= 0:  # the lowest, so every anchor is positive
+            raise ValueError(f"anchor frequencies must be positive, got {freqs[-1]}")
+        slopes = [(f1 - f0) / (y1 - y0)
+                  for (y0, f0), (y1, f1) in zip(self.anchors, self.anchors[1:])]
+        if not all(map(math.isfinite, slopes)):  # else np.interp's clock overflows
+            raise ValueError(f"anchor slopes must be finite, got {slopes}")
 
     @property
     def span(self) -> tuple[float, float]:

@@ -1,9 +1,9 @@
-"""Fuzzed input files through `main`: platform JSON, rows CSV and mask files.
+"""Fuzzed input files through `main`: platform JSON, rows CSV, mask files and PGM images.
 
 The rule for every input: exit 0, 1 or 2. A failed run writes exactly one
 stderr line, starting `error:` or `calibration error:`, with no traceback,
-and leaves no `--report` or `--out` file behind. A warning would print a
-second stderr line, so none may be raised.
+and leaves no `--report` or `--out` file, nor a temporary one, behind. A
+warning would print a second stderr line, so none may be raised.
 """
 
 import functools
@@ -45,6 +45,7 @@ def _run_by_the_rule(argv, capsys, outputs) -> int:
         assert captured.err.startswith(("error: ", "calibration error: ")), captured.err
         assert "Traceback" not in captured.err
         assert not [p for p in outputs if p.exists()], captured.err
+    assert not [p for out in outputs for p in out.parent.glob(".*.tmp")], captured.err
     return rc
 
 
@@ -170,3 +171,30 @@ def test_fuzzed_mask_through_compress(tmp_path, tiny_image, capsys, data):
     mask.write_bytes(data)
     _run_by_the_rule(["compress", "--in", str(tiny_image), "--out", str(out), "--bits", "6",
                       "--mask", f"file:{mask}", "--report", str(report)], capsys, [out, report])
+
+
+@st.composite
+def pgm_files(draw) -> bytes:
+    """A binary PGM of odd size and maxval, with up to three header bytes
+    replaced, its raster cut short, or bytes after it."""
+    width, height = (draw(st.integers(0, 20) | st.sampled_from([10**12, 2**64])) for _ in "wh")
+    maxval = draw(st.sampled_from([255, 255, 255, 0, 1, 254, 256, 65535]))
+    header = bytearray(f"P5\n{width} {height}\n{maxval}\n".encode())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        header[draw(st.integers(0, len(header) - 1))] = draw(
+            st.sampled_from(b" \t\r\n#x+-0159P") | st.integers(0, 255))
+    raster = bytes(range(256)) * (min(width * height, 4000) // 256 + 1)
+    raster = raster[:max(0, min(width * height, 4000) + draw(st.integers(-3, 3)))]
+    if draw(st.integers(0, 2)) == 0:
+        raster = raster[:draw(st.integers(0, len(raster)))]
+    return bytes(header) + raster + draw(st.binary(max_size=8))
+
+
+@given(data=pgm_files())
+@FUZZ
+def test_fuzzed_pgm_through_compress_and_sweep(tmp_path, capsys, data):
+    src, out, report = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "r.csv"
+    src.write_bytes(data)
+    for argv, outputs in ((["compress", "--out", str(out), "--bits", "7"], [out, report]),
+                          (["sweep"], [report])):
+        _run_by_the_rule([*argv, "--in", str(src), "--report", str(report)], capsys, outputs)

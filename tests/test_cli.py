@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -11,13 +12,30 @@ import pytest
 
 import arsc.cli
 import arsc.sc_core
-from arsc.cli import REPORT_HEADER, VERIFY_HEADER, _fold_seed, build_parser, main, parse_mask
-from arsc.dct import FrequencyMask, GrayImage, reference_pipeline
+from arsc.cli import (
+    REPORT_HEADER,
+    VERIFY_HEADER,
+    _fold_seed,
+    _metric_row,
+    build_parser,
+    main,
+    parse_mask,
+)
+from arsc.dct import (
+    FrequencyMask,
+    GrayImage,
+    _band_rows,
+    process_image,
+    process_widths,
+    reference_pipeline,
+)
 from arsc.pgm import read_pgm, write_pgm
+from arsc.mac import BITWIDTHS, AccuracySelect
 from arsc.platform_model import (
     PlatformConfig,
     default_platform,
     load_platform,
+    min_frequency_for_throughput,
     save_platform,
     select_config,
 )
@@ -81,6 +99,30 @@ def _platform_with(tmp_path, field, value):
     return path
 
 
+def _count_band_work(tmp_path, monkeypatch, argv):
+    """Calls of each band step while main runs argv on the 256x256 reference image,
+    and the image's band count."""
+    calls = {"_pad": 0, "_reference_band": 0, "_fixed_band": 0}
+
+    def counted(name):
+        fn = getattr(arsc.dct, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(arsc.dct, name, counted(name))
+    src = tmp_path / "ref256.pgm"
+    write_pgm(reference_image(), src)
+    assert main([*argv, "--in", str(src)]) == 0
+    # 32 x 32 blocks in bands of whole block rows
+    bands = -(-32 // max(1, arsc.dct.CHUNK_BLOCKS // 32))
+    assert bands < 5
+    return calls, bands
+
+
 class TestCompress:
     def test_basic_run(self, tmp_path, small_image, capsys):
         out = tmp_path / "out.pgm"
@@ -132,6 +174,11 @@ class TestCompress:
         assert rc == 1
         assert "byte" in capsys.readouterr().err
 
+    def test_width_independent_work_runs_once_per_band(self, tmp_path, monkeypatch):
+        calls, bands = _count_band_work(tmp_path, monkeypatch,
+                                        ["compress", "--out", str(tmp_path / "out.pgm")])
+        assert calls == {"_pad": bands, "_reference_band": bands, "_fixed_band": bands}
+
 
 class TestSweep:
     def test_five_rows(self, tmp_path, small_image):
@@ -167,24 +214,7 @@ class TestSweep:
         assert all(ln.startswith("warning: ") and "85.7000 MHz base clock" in ln for ln in err)
 
     def test_width_independent_work_runs_once_per_band(self, tmp_path, monkeypatch):
-        calls = {"_pad": 0, "_reference_band": 0, "_fixed_band": 0}
-
-        def counted(name):
-            fn = getattr(arsc.dct, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(arsc.dct, name, counted(name))
-        src = tmp_path / "ref256.pgm"
-        write_pgm(reference_image(), src)
-        assert main(["sweep", "--in", str(src)]) == 0
-        # 32 x 32 blocks in bands of whole block rows
-        bands = -(-32 // max(1, arsc.dct.CHUNK_BLOCKS // 32))
-        assert bands < 5
+        calls, bands = _count_band_work(tmp_path, monkeypatch, ["sweep"])
         assert calls == {"_pad": bands, "_reference_band": bands, "_fixed_band": 5 * bands}
 
     @pytest.mark.parametrize("target", ["nan", "inf", "0", "-7.19"])
@@ -237,6 +267,23 @@ class TestAging:
                       else f",{op.bitwidth},{op.throughput_fps:.4f},yes")
             want.append(f"{year},{op.frequency_mhz:.4f}{chosen}")
         assert rep.read_text().splitlines()[1:] == want
+
+    @pytest.mark.parametrize("anchors,message", [
+        ([[0, 1e308], [10, -1e308]], "anchor frequencies must be positive, got -1e+308"),
+        ([[0, 85.7], [10, 0]], "anchor frequencies must be positive, got 0.0"),
+        ([[0, 1e308], [1e-10, 1]], "anchor slopes must be finite, got [-inf]"),
+    ], ids=["negative", "zero", "overflowing-slope"])
+    def test_anchors_refused_when_the_file_loads(self, tmp_path, capsys, anchors, message):
+        # the first once loaded, then failed at year 1 naming a clock that was not
+        # the cause; the third divided by a tiny year step into an infinite slope
+        path = _platform_with(tmp_path, ("aging_anchors_years_mhz",), anchors)
+        with pytest.raises(ValueError) as exc:
+            load_platform(path)
+        assert str(exc.value) == f"malformed platform config {path}: {message}"
+        assert main(["aging", "--platform", str(path), "--years", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed platform config {path}: {message}\n"
 
     def test_years_beyond_schedule(self):
         assert main(["aging", "--target", "7.19", "--years", "12"]) == 1
@@ -475,6 +522,124 @@ class TestVerifyMul:
         got = {r[0]: {"cbsc_max_abs_err": r[3], "cbsc_mean_abs_err": r[4]}
                for r in (ln.split(",") for ln in rep.read_text().splitlines()[1:])}
         assert got == golden["rows"]
+
+
+X_MASK = "10000001\n01000010\n00100100\n00011000\n00011000\n00100100\n01000010\n10000001\n"
+# (height, width): ragged both ways, one block row, and 3 bands with a short last one
+STREAM_SIZES = [(13, 77), (8, 4096), (300, 250)]
+
+
+class TestStreamedImages:
+    """compress and sweep stream bands from the input file, through the pipeline,
+    into the output file: the same bytes as the whole-image library calls."""
+
+    @pytest.fixture(params=["lowpass:4", "allpass", "file"])
+    def mask(self, request, tmp_path):
+        if request.param != "file":
+            return request.param, parse_mask(request.param)
+        path = tmp_path / "x.mask"
+        path.write_text(X_MASK)
+        return f"file:{path}", parse_mask(f"file:{path}")
+
+    @staticmethod
+    def _image(tmp_path, size):
+        img = GrayImage(np.random.default_rng(size[0] * size[1]).integers(
+            0, 256, size=size, dtype=np.uint8))
+        path = tmp_path / "in.pgm"
+        write_pgm(img, path)
+        return img, path
+
+    @pytest.mark.parametrize("bits", [10, 7])
+    @pytest.mark.parametrize("size", STREAM_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_compress_matches_process_image(self, tmp_path, capsys, mask, size, bits):
+        (spec, fmask), (img, src) = mask, self._image(tmp_path, size)
+        out, rep, want = tmp_path / "out.pgm", tmp_path / "r.csv", tmp_path / "want.pgm"
+        assert main(["compress", "--in", str(src), "--out", str(out), "--bits", str(bits),
+                     "--mask", spec, "--report", str(rep)]) == 0
+        r = process_image(img, AccuracySelect.from_bitwidth(bits), fmask)
+        write_pgm(r.output, want)
+        assert out.read_bytes() == want.read_bytes()
+        cfg = default_platform()
+        row = _metric_row(cfg, bits, cfg.base_freq_mhz, r.psnr_vs_reference)
+        assert rep.read_text() == f"{REPORT_HEADER}\n{','.join(row)}\n"
+        assert capsys.readouterr().out == (
+            f"input: {src} ({size[1]}x{size[0]})\nbitwidth: {bits}  mask: {spec}\n"
+            f"psnr_vs_input_db: {r.psnr_vs_input:.4f}\n"
+            f"psnr_vs_reference_db: {r.psnr_vs_reference:.4f}\n"
+            f"simulated_cycles_fixed: {r.total_cycles_fixed}\n"
+            f"clamp_count: {r.clamp_count}\nwrote: {out}\n")
+
+    @pytest.mark.parametrize("size", STREAM_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_sweep_matches_process_widths(self, tmp_path, capsys, mask, size):
+        (spec, fmask), (img, src) = mask, self._image(tmp_path, size)
+        rep = tmp_path / "s.csv"
+        assert main(["sweep", "--in", str(src), "--mask", spec, "--report", str(rep)]) == 0
+        cfg = default_platform()
+        reports = process_widths(img, [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS], fmask)
+        rows = [_metric_row(cfg, b, min_frequency_for_throughput(cfg.cycle_model, b, 7.19),
+                            r.psnr_vs_reference) for b, r in zip(BITWIDTHS, reports)]
+        want = "".join(f"{line}\n" for line in [REPORT_HEADER, *map(",".join, rows)])
+        assert rep.read_text() == want
+        assert capsys.readouterr().out == want
+
+    def test_sizes_cover_the_band_cases(self):
+        assert STREAM_SIZES[1][0] == _band_rows(STREAM_SIZES[1][1]) == 8  # one band
+        (h, w), rows = STREAM_SIZES[2], _band_rows(STREAM_SIZES[2][1])
+        assert h // rows >= 2 and h % rows and h % 8 and w % 8  # 3+ bands, ragged
+
+    def test_in_place(self, tmp_path, capsys):
+        _, src = self._image(tmp_path, STREAM_SIZES[2])
+        same = tmp_path / "same.pgm"
+        same.write_bytes(src.read_bytes())
+        assert main(["compress", "--in", str(src), "--out", str(tmp_path / "out.pgm")]) == 0
+        assert main(["compress", "--in", str(same), "--out", str(same)]) == 0
+        assert same.read_bytes() == (tmp_path / "out.pgm").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "out.pgm", "same.pgm"]
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
+    def test_failure_mid_image_leaves_no_file(self, tmp_path, capsys, monkeypatch, error,
+                                              in_place):
+        _, src = self._image(tmp_path, STREAM_SIZES[2])
+        data, fixed_band, calls = src.read_bytes(), arsc.dct._fixed_band, []
+
+        def fails_on_the_second_band(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error("band 2 failed")
+            return fixed_band(*args)
+
+        monkeypatch.setattr(arsc.dct, "_fixed_band", fails_on_the_second_band)
+        out = src if in_place else tmp_path / "out.pgm"
+        argv = ["compress", "--in", str(src), "--out", str(out), "--report", str(tmp_path / "r")]
+        if error is ValueError:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: band 2 failed\n"
+        else:
+            with pytest.raises(error):
+                main(argv)
+        assert len(calls) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["in.pgm"]
+        assert src.read_bytes() == data
+
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_memory_does_not_grow_with_height(self, tmp_path, capsys, command):
+        # a 256-wide band holds 128 rows; 2048 rows are 16 bands. The peak stays
+        # at a few bands' worth, where whole images would add 3 to 6 times 512 KiB
+        peaks = []
+        for h in (256, 2048):
+            _, src = self._image(tmp_path, (h, 256))
+            argv = [command, "--in", str(src)]
+            if command == "compress":
+                argv += ["--out", str(tmp_path / "out.pgm"), "--report", str(tmp_path / "r")]
+            assert main(argv) == 0  # warm: the tables are cached
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 class TestOutputPaths:
