@@ -1,18 +1,19 @@
 """8-point DCT/IDCT image pipeline on the reconfigurable MAC.
 
-The fixed-point path reproduces the sign-magnitude MAC unit (mac.mac) bit
-for bit, over raster bands of whole block rows that every bit-width shares.
-Each 1D stage reads its lanes as the leading axis of a view of the band and
-sums, in int16, one gathered row of counter-based products per sample and
-lane, next stage's lanes first. Cached tables fold in every elementwise
-pass: stage 1's rows take the raw pixel, and saturation tables take each
-signed sum to the next stage's row index or to the de-normalised pixel.
-Stages run only the coefficient rows and columns that hold a kept one of
-the frequency mask. Only inverse sums count clamps: no forward sum can reach
-the clamp (see _fixed_band). A float64 path of the same structure, one GEMM
-per matrix product, is the accuracy reference. Every 1D stage output is
-scaled by 1/4 before buffering (and re-amplified by 4 in the inverse stages)
-so that all multiplier operands stay inside [0, 1); the net gain is exactly 1.
+The fixed-point path reproduces the sign-magnitude MAC unit bit for bit (its
+scalar model is the tests' oracle, tests/mac_model.py), over raster bands of
+whole block rows that every bit-width shares. Each 1D stage reads its lanes
+as the leading axis of a view of the band and sums, in int16, one gathered
+row of counter-based products per sample and lane, next stage's lanes first.
+Cached tables fold in every elementwise pass: stage 1's rows take the raw
+pixel, and saturation tables take each signed sum to the next stage's row
+index or to the de-normalised pixel. Stages run only the coefficient rows
+and columns that hold a kept one of the frequency mask. Only inverse sums
+count clamps: no forward sum can reach the clamp (see _fixed_band). A
+float64 path of the same structure, one GEMM per matrix product, is the
+accuracy reference. Every 1D stage output is scaled by 1/4 before buffering
+(and re-amplified by 4 in the inverse stages) so that all multiplier
+operands stay inside [0, 1); the net gain is exactly 1.
 """
 
 from __future__ import annotations
@@ -186,13 +187,6 @@ class GrayImage:
             raise ValueError("image must be a nonempty 2D pixel array")
         if self.pixels.dtype != np.uint8:
             raise ValueError("image pixels must be uint8")
-
-    @classmethod
-    def from_array(cls, a) -> "GrayImage":
-        a = np.asarray(a)
-        if a.dtype.kind not in "biuf" or not np.isin(a, np.arange(256)).all():
-            raise ValueError("pixel values must be whole numbers in 0..255")
-        return cls(a.astype(np.uint8))
 
     @property
     def width(self) -> int:

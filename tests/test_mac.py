@@ -1,20 +1,14 @@
-"""Reconfigurable MAC: truncation, sign handling, exact accumulation."""
+"""The scalar MAC model the engine tests use as their oracle (mac_model):
+truncation, sign handling, exact accumulation; and the accuracy-select code."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arsc.mac import (
-    BITWIDTHS,
-    AccuracySelect,
-    SignMagnitude,
-    mac,
-    restore_width,
-    signed_product,
-    truncate,
-)
+from arsc.mac import BITWIDTHS, AccuracySelect
 from arsc.sc_core import UnsignedFixed, prefix_ones
+from mac_model import SignMagnitude, mac, restore_width, signed_product, truncate
 
 
 def sm(sign, raw, width=10):

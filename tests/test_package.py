@@ -14,3 +14,19 @@ def test_import_loads_no_submodule():
             "print(sorted(m for m in sys.modules if m.startswith('arsc.')))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_mac_module_defines_only_the_selection_code():
+    # the scalar MAC model is the tests' oracle (mac_model), not library code:
+    # arsc.mac defines BITWIDTHS and AccuracySelect, and the rest is imports
+    src = str(Path(arsc.__file__).resolve().parents[1])
+    code = f"""
+import inspect, sys
+sys.path.insert(0, {src!r})
+import arsc.cli, arsc.mac as m
+print(sorted(n for n, v in vars(m).items() if not n.startswith("_") and not inspect.ismodule(v)
+             and getattr(v, "__module__", m.__name__) == m.__name__))
+print("mac_model" in sys.modules)
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "['AccuracySelect', 'BITWIDTHS']\nFalse\n"
