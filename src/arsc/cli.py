@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .dct import N, FrequencyMask, _band_pass, _band_rows
-from .mac import AccuracySelect, BITWIDTHS
+from .mac import BITWIDTHS
 from .pgm import pgm_reader, pgm_writer
 from .platform_model import (
     CalibrationError,
@@ -120,14 +120,15 @@ def _metric_row(cfg: PlatformConfig, b: int, freq: float, psnr_db: float):
 
 
 def cmd_compress(args) -> int:
+    if args.report and args.report.resolve() == args.output.resolve():  # else the CSV replaces it
+        raise ValueError(f"--report and --out name the same file: {args.output}")
     # bands stream from the input through the pipeline into an output that appears only whole
     with pgm_reader(args.input) as (width, height, bands):
-        sel = AccuracySelect.from_bitwidth(args.bits)
         mask = parse_mask(args.mask)
         cfg = load_platform(args.platform)
         with pgm_writer(args.output, width, height) as write:
             [(cycles, clamps, psnr_input, psnr_reference)] = _band_pass(
-                bands(_band_rows(width)), [sel], mask, lambda k, rows: write(rows))
+                bands(_band_rows(width)), [args.bits], mask, lambda k, rows: write(rows))
             row = _metric_row(cfg, args.bits, cfg.base_freq_mhz, psnr_reference)
             rows = _finite_rows(REPORT_HEADER, [row] if args.report else [])  # before --out appears
 
@@ -149,8 +150,7 @@ def cmd_sweep(args) -> int:
         mask = parse_mask(args.mask)
         cfg = load_platform(args.platform)
         # no sink: each width's rows are reduced to their errors, and no image is kept
-        stats = _band_pass(bands(_band_rows(width)),
-                           [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS], mask)
+        stats = _band_pass(bands(_band_rows(width)), BITWIDTHS, mask)
     freqs = [min_frequency_for_throughput(cfg.cycle_model, b, args.target) for b in BITWIDTHS]
     rows = _finite_rows(REPORT_HEADER, [_metric_row(cfg, b, freq, psnr_reference)
                                         for b, freq, (*_, psnr_reference)
@@ -194,7 +194,7 @@ def cmd_verify_mul(args) -> int:
         # conventional multiplier: two decorrelated LFSR generators
         cfg_x = LfsrConfig(n, seed=_fold_seed(args.seed, n))
         cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=_fold_seed(args.seed ^ 0x5A5A5A, n))
-        check = verify_multiplier(n, cfg_x, cfg_w)
+        check = verify_multiplier(cfg_x, cfg_w)
         violations += check.mismatches
         identity_ok = check.mismatches == 0
         # float(sum) / 4**n / pairs rounds like the mean of the float errors

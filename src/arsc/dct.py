@@ -304,12 +304,12 @@ def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
                                      for band in _bands(img.pixels)]))
 
 
-def _band_pass(bands, sels, mask: FrequencyMask, sink=None):
+def _band_pass(bands, widths, mask: FrequencyMask, sink=None):
     """process_widths over an image's bands of whole block rows (only the last one short),
     in order. Width k's output rows go to sink(k, rows) if given, valid only during the
     call. Returns per width: total cycles, clamps, and PSNR against input and reference."""
     h = w = 0
-    totals = np.zeros((len(sels), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
+    totals = np.zeros((len(widths), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
     work = None
     for band in bands:
         (rows, w), padded = band.shape, _pad(band)
@@ -318,15 +318,15 @@ def _band_pass(bands, sels, mask: FrequencyMask, sink=None):
         # one per band would be handed back to the system by malloc and faulted back in
         work = np.empty(2 * padded.size) if work is None else work
         ref = _reference_band(padded, mask, work)[:rows, :w]
-        for k, sel in enumerate(sels):
-            pixels, count = _fixed_band(padded, sel.bitwidth, mask)
+        for k, b in enumerate(widths):
+            pixels, count = _fixed_band(padded, b, mask)
             got = pixels[:rows, :w]
             if sink:
                 sink(k, got)
             totals[k] += count, _sse(got, band), _sse(got, ref)
     slots = -(-h // N) * -(-w // N) * 2 * _TRANSFORM_SLOTS  # forward + inverse
-    return [((slots << sel.bitwidth) // PARALLELISM, count, _psnr_db(si, h * w),
-             _psnr_db(sr, h * w)) for sel, (count, si, sr) in zip(sels, totals.tolist())]
+    return [((slots << b) // PARALLELISM, count, _psnr_db(si, h * w),
+             _psnr_db(sr, h * w)) for b, (count, si, sr) in zip(widths, totals.tolist())]
 
 
 def process_widths(img: GrayImage, sels, mask: FrequencyMask) -> list[PipelineReport]:
@@ -340,7 +340,7 @@ def process_widths(img: GrayImage, sels, mask: FrequencyMask) -> list[PipelineRe
     """
     outs = [np.empty_like(img.pixels) for _ in sels]
     dests = [_bands(out) for out in outs]  # each output's bands, in step with the input's
-    stats = _band_pass(_bands(img.pixels), sels, mask,
+    stats = _band_pass(_bands(img.pixels), [sel.bitwidth for sel in sels], mask,
                        lambda k, rows: np.copyto(next(dests[k]), rows))
     return [PipelineReport(GrayImage(out), *s) for out, s in zip(outs, stats)]
 

@@ -9,6 +9,7 @@ current (aged) clock.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -62,6 +63,8 @@ class CycleModel:
             raise ValueError(f"c_ovh must be >= 0 and finite, got {self.c_ovh}")
 
     def cycles_per_frame(self, b: int) -> float:
+        if b not in BITWIDTHS:  # the one check of a platform bit-width
+            raise ValueError(f"bitwidth {b} not in {BITWIDTHS}")
         return self.c_sc * (1 << b) + self.c_ovh
 
 
@@ -273,8 +276,6 @@ def frequency_at_year(s: AgingSchedule, t: float) -> float:
 
 def throughput(cm: CycleModel, b: int, freq_mhz: float) -> float:
     """Frames per second at bit-width b and the given clock."""
-    if b not in BITWIDTHS:
-        raise ValueError(f"bitwidth {b} not in {BITWIDTHS}")
     if freq_mhz <= 0:
         raise ValueError("frequency must be positive")
     return freq_mhz * 1e6 / cm.cycles_per_frame(b)
@@ -292,8 +293,6 @@ def min_bitwidth_for_throughput(cm: CycleModel, freq_mhz: float, target: float) 
 
 def min_frequency_for_throughput(cm: CycleModel, b: int, target: float) -> float:
     """Lowest clock (MHz) sustaining the target at bit-width b."""
-    if b not in BITWIDTHS:
-        raise ValueError(f"bitwidth {b} not in {BITWIDTHS}")
     if target < 0:
         raise ValueError("target throughput must be >= 0")
     return target * cm.cycles_per_frame(b) / 1e6
@@ -316,6 +315,7 @@ def select_config(
     return OperatingPoint(b, freq, tp, pm.power(freq), 1.0 / tp)
 
 
+@functools.cache  # every part of a PlatformConfig is frozen, so one serves the process
 def default_platform() -> PlatformConfig:
     """The platform calibrated from the bundled FPGA measurement table."""
     return calibrate_platform(FPGA_TABLE)

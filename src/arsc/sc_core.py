@@ -279,16 +279,16 @@ class MultiplierCheck(NamedTuple):
     conv_err_sum: int  # sum of |c * 2**n - x * w| over every x, w < 2**n
 
 
-def verify_multiplier(n: int, cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
-    """Check both multipliers on each operand pair of width n (3..10: int16 counts, int32 errors).
+def verify_multiplier(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
+    """Check both multipliers on each operand pair at the LFSR width n (int16 counts, int32 errors).
 
     The count of each ``sng_deterministic`` stream ANDed with ``unary_gen(w)``
     must equal the product p, ``prefix_ones_table``. The conventional count
     c[x, w] = #{i : sx_i < x and sw_i < w} is that of two ANDed
     ``sng_conventional`` streams. Operands run in blocks of VERIFY_ROWS.
     """
-    if not cfg_x.width == cfg_w.width == n:
-        raise ValueError(f"width {n} must match LFSR widths {cfg_x.width}, {cfg_w.width}")
+    if (n := cfg_x.width) != cfg_w.width:
+        raise ValueError(f"LFSR widths {n}, {cfg_w.width} differ")
     size, rows = 1 << n, min(VERIFY_ROWS, 1 << n)
     w = np.arange(size + 1, dtype=np.int32)
     product = prefix_ones_table(n, w)

@@ -672,6 +672,30 @@ class TestOutputPaths:
         assert errors[0].endswith("is not a file path in an existing directory")
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("report", ["o.pgm", "./o.pgm", "sub/../o.pgm", "{tmp}/o.pgm",
+                                        "link.pgm"])
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_report_and_out_the_same_file_refused(self, tmp_path, small_image, capsys,
+                                                  monkeypatch, report, exists):
+        # else the CSV report would overwrite the image just written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.pgm").symlink_to(tmp_path / "o.pgm")
+        if exists:
+            (tmp_path / "o.pgm").write_bytes(b"old")
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["compress", "--in", str(small_image), "--out", "o.pgm",
+                   "--report", report.format(tmp=tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "o.pgm").exists() == exists
+        if exists:
+            assert (tmp_path / "o.pgm").read_bytes() == b"old"
+
 
 # the tile transforms of the benchmark's 1024x1024 image, keyed as in golden.json
 TILE_TRANSFORMS = {

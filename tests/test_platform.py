@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import arsc.platform_model
 from arsc.platform_model import (
     AgingSchedule,
     ASIC_AGING_ANCHORS,
@@ -15,8 +16,10 @@ from arsc.platform_model import (
     calibrate_power,
     default_aging_schedule,
     default_cycle_model,
+    default_platform,
     default_power_model,
     frequency_at_year,
+    load_platform,
     min_bitwidth_for_throughput,
     min_frequency_for_throughput,
     select_config,
@@ -178,8 +181,10 @@ class TestThroughput:
             assert throughput(cm, b, 50.0) < throughput(cm, b - 1, 50.0)
 
     def test_validation(self, cm):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bitwidth 11 not in \(10, 9, 8, 7, 6\)"):
             throughput(cm, 11, 50.0)
+        with pytest.raises(ValueError, match=r"bitwidth 11 not in \(10, 9, 8, 7, 6\)"):
+            min_frequency_for_throughput(cm, 11, TARGET)
         with pytest.raises(ValueError):
             throughput(cm, 10, 0.0)
 
@@ -256,6 +261,17 @@ class TestModelShape:
         assert default_cycle_model().c_sc > 0
         assert default_power_model().p_dyn > 0
         assert default_aging_schedule().span == (0.0, 10.0)
+
+    def test_defaults_fitted_once(self, monkeypatch):
+        fits, fit = [], arsc.platform_model.calibrate_platform
+        monkeypatch.setattr(arsc.platform_model, "calibrate_platform",
+                            lambda rows: fits.append(rows) or fit(rows))
+        default_platform.cache_clear()
+        cfg = load_platform(None)
+        assert (default_cycle_model(), default_power_model(), default_aging_schedule()) == (
+            cfg.cycle_model, cfg.power_model, cfg.schedule)
+        assert default_platform() is cfg
+        assert fits == [FPGA_TABLE]
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -382,7 +382,7 @@ def _edited_table_mismatches(monkeypatch, edit, n=10):
 
     monkeypatch.setattr(arsc.sc_core, "prefix_ones_table", edited)
     cfgs = _folded_configs(n, 1)
-    got = verify_multiplier(n, *cfgs)
+    got = verify_multiplier(*cfgs)
     assert got == _full_array_check(n, *cfgs, product=edited(n, np.arange((1 << n) + 1)))
     return got.mismatches
 
@@ -392,13 +392,13 @@ class TestVerifyMultiplier:
     def test_matches_full_array_oracle(self, n):
         for seed in (1, 2, 7, 0, -5, 123456):
             cfgs = _folded_configs(n, seed)
-            assert verify_multiplier(n, *cfgs) == _full_array_check(n, *cfgs), seed
+            assert verify_multiplier(*cfgs) == _full_array_check(n, *cfgs), seed
 
     @pytest.mark.parametrize("rows", [1, 2, 8, 1 << 11])
     def test_block_rows_do_not_change_records(self, monkeypatch, rows):
         want = [_full_array_check(n, *_folded_configs(n, 7)) for n in (3, 6, 10)]
         monkeypatch.setattr(arsc.sc_core, "VERIFY_ROWS", rows)
-        assert [verify_multiplier(n, *_folded_configs(n, 7)) for n in (3, 6, 10)] == want
+        assert [verify_multiplier(*_folded_configs(n, 7)) for n in (3, 6, 10)] == want
 
     @pytest.mark.parametrize("rows", [1, 2, 64])
     @pytest.mark.parametrize("taps,seed_x,seed_w", [((3, 2, 1), 7, 3), ((4,), 5, 9),
@@ -408,7 +408,7 @@ class TestVerifyMultiplier:
         n = taps[0]
         cfg_x, cfg_w = LfsrConfig(n, taps, seed_x), LfsrConfig(n, taps, seed_w)
         monkeypatch.setattr(arsc.sc_core, "VERIFY_ROWS", rows)
-        assert verify_multiplier(n, cfg_x, cfg_w) == _full_array_check(n, cfg_x, cfg_w)
+        assert verify_multiplier(cfg_x, cfg_w) == _full_array_check(n, cfg_x, cfg_w)
 
     @pytest.mark.parametrize("x,w", [(0, 0), (5, 9), (64, 1024), (1023, 0), (1023, 1024)])
     def test_each_perturbed_entry_counted_once(self, monkeypatch, x, w):
@@ -421,7 +421,7 @@ class TestVerifyMultiplier:
             return out
 
         monkeypatch.setattr(arsc.sc_core, "prefix_ones_table", perturbed)
-        assert verify_multiplier(10, *_folded_configs(10, 1)).mismatches == 1
+        assert verify_multiplier(*_folded_configs(10, 1)).mismatches == 1
 
     # the product table is checked by its per-cycle increments and its w = 0 column;
     # each edit below must still be counted entry by entry, as the oracle counts it
@@ -436,7 +436,7 @@ class TestVerifyMultiplier:
             return cumsum(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "cumsum", spy)
-        assert verify_multiplier(n, *_folded_configs(n, 1)).mismatches == 0
+        assert verify_multiplier(*_folded_configs(n, 1)).mismatches == 0
         assert summed and set(summed) == {0}
 
     @pytest.mark.parametrize("x", [0, 77, 1023])
@@ -498,7 +498,5 @@ class TestVerifyMultiplier:
         assert _edited_table_mismatches(monkeypatch, edit) == 1025 + 1024 + 1 + 425
 
     def test_bad_widths_refused(self):
-        with pytest.raises(ValueError, match="LFSR widths 4, 5"):
-            verify_multiplier(4, LfsrConfig(4), LfsrConfig(5))
-        with pytest.raises(ValueError, match="width 5 must match LFSR widths 4, 4"):
-            verify_multiplier(5, LfsrConfig(4), LfsrConfig(4, ALTERNATE_TAPS[4]))
+        with pytest.raises(ValueError, match="LFSR widths 4, 5 differ"):
+            verify_multiplier(LfsrConfig(4), LfsrConfig(5))
