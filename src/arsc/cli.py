@@ -19,7 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from .dct import N, FrequencyMask, _band_pass, _band_rows
+from .dct import N, FrequencyMask, band_pass
 from .mac import BITWIDTHS
 from .pgm import pgm_reader, pgm_writer
 from .platform_model import (
@@ -127,17 +127,16 @@ def cmd_compress(args) -> int:
         mask = parse_mask(args.mask)
         cfg = load_platform(args.platform)
         with pgm_writer(args.output, width, height) as write:
-            [(cycles, clamps, psnr_input, psnr_reference)] = _band_pass(
-                bands(_band_rows(width)), [args.bits], mask, lambda k, rows: write(rows))
-            row = _metric_row(cfg, args.bits, cfg.base_freq_mhz, psnr_reference)
+            [report] = band_pass(width, bands, [args.bits], mask, lambda k, y, rows: write(rows))
+            row = _metric_row(cfg, args.bits, cfg.base_freq_mhz, report.psnr_vs_reference)
             rows = _finite_rows(REPORT_HEADER, [row] if args.report else [])  # before --out appears
 
     print(f"input: {args.input} ({width}x{height})")
     print(f"bitwidth: {args.bits}  mask: {args.mask}")
-    print(f"psnr_vs_input_db: {_fmt(psnr_input, 4)}")
-    print(f"psnr_vs_reference_db: {_fmt(psnr_reference, 4)}")
-    print(f"simulated_cycles_fixed: {cycles}")
-    print(f"clamp_count: {clamps}")
+    print(f"psnr_vs_input_db: {_fmt(report.psnr_vs_input, 4)}")
+    print(f"psnr_vs_reference_db: {_fmt(report.psnr_vs_reference, 4)}")
+    print(f"simulated_cycles_fixed: {report.total_cycles_fixed}")
+    print(f"clamp_count: {report.clamp_count}")
     print(f"wrote: {args.output}")
 
     if args.report:
@@ -150,11 +149,10 @@ def cmd_sweep(args) -> int:
         mask = parse_mask(args.mask)
         cfg = load_platform(args.platform)
         # no sink: each width's rows are reduced to their errors, and no image is kept
-        stats = _band_pass(bands(_band_rows(width)), BITWIDTHS, mask)
+        reports = band_pass(width, bands, BITWIDTHS, mask)
     freqs = [min_frequency_for_throughput(cfg.cycle_model, b, args.target) for b in BITWIDTHS]
-    rows = _finite_rows(REPORT_HEADER, [_metric_row(cfg, b, freq, psnr_reference)
-                                        for b, freq, (*_, psnr_reference)
-                                        in zip(BITWIDTHS, freqs, stats)])
+    rows = _finite_rows(REPORT_HEADER, [_metric_row(cfg, r.bitwidth, freq, r.psnr_vs_reference)
+                                        for r, freq in zip(reports, freqs)])
     print(REPORT_HEADER)
     for b, freq, row in zip(BITWIDTHS, freqs, rows):
         print(",".join(row))

@@ -1,19 +1,21 @@
 """8-point DCT/IDCT image pipeline on the reconfigurable MAC.
 
-The fixed-point path reproduces the sign-magnitude MAC unit bit for bit (its
-scalar model is the tests' oracle, tests/mac_model.py), over raster bands of
-whole block rows that every bit-width shares. Each 1D stage reads its lanes
-as the leading axis of a view of the band and sums, in int16, one gathered
-row of counter-based products per sample and lane, next stage's lanes first.
-Cached tables fold in every elementwise pass: stage 1's rows take the raw
-pixel, and saturation tables take each signed sum to the next stage's row
-index or to the de-normalised pixel. Stages run only the coefficient rows
-and columns that hold a kept one of the frequency mask. Only inverse sums
-count clamps: no forward sum can reach the clamp (see _fixed_band). A
-float64 path of the same structure, one GEMM per matrix product, is the
-accuracy reference. Every 1D stage output is scaled by 1/4 before buffering
-(and re-amplified by 4 in the inverse stages) so that all multiplier
-operands stay inside [0, 1); the net gain is exactly 1.
+band_pass is the one pipeline entry point: one pass over raster bands of
+whole block rows, shared by every bit-width, returns exact integer cycles,
+clamps and squared errors per width. The fixed-point path reproduces the
+sign-magnitude MAC unit bit for bit (its scalar model is the tests' oracle,
+tests/mac_model.py). Each 1D stage reads its lanes as the leading axis of a
+view of the band and sums, in int16, one gathered row of counter-based
+products per sample and lane, next stage's lanes first. Cached tables fold
+in every elementwise pass: stage 1's rows take the raw pixel, and saturation
+tables take each signed sum to the next stage's row index or to the
+de-normalised pixel. Stages run only the coefficient rows and columns that
+hold a kept one of the frequency mask. Only inverse sums count clamps: no
+forward sum can reach the clamp (see _fixed_band). A float64 path of the
+same structure, one GEMM per matrix product, is the accuracy reference.
+Every 1D stage output is scaled by 1/4 before buffering (and re-amplified by
+4 in the inverse stages) so that all multiplier operands stay inside [0, 1);
+the net gain is exactly 1.
 """
 
 from __future__ import annotations
@@ -221,14 +223,23 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
 
 
 @dataclass(frozen=True)
-class PipelineReport:
-    """Whole-image run summary."""
+class WidthReport:
+    """One bit-width's run over an image in exact integers: fixed MAC cycles over
+    PARALLELISM pixels a cycle, clamps, and the output's summed squared errors."""
 
-    output: GrayImage
+    bitwidth: int
+    pixels: int
     total_cycles_fixed: int
     clamp_count: int
-    psnr_vs_input: float
-    psnr_vs_reference: float
+    sse_input: int
+    sse_reference: int  # against the float reference
+    psnr_vs_input = property(lambda self: _psnr_db(self.sse_input, self.pixels))
+    psnr_vs_reference = property(lambda self: _psnr_db(self.sse_reference, self.pixels))
+
+
+@dataclass(frozen=True)
+class PipelineReport(WidthReport):
+    output: GrayImage  # the WidthReport's output image
 
 
 def _pad(pixels: np.ndarray) -> np.ndarray:
@@ -245,9 +256,8 @@ def _band_rows(width: int) -> int:
 
 
 def _bands(pixels: np.ndarray):
-    """The raster's bands of _band_rows rows; only the last one is short."""
-    step = _band_rows(pixels.shape[1])
-    return (pixels[y:y + step] for y in range(0, pixels.shape[0], step))
+    """bands(rows) of an in-memory raster, as pgm_reader's: its bands of `rows` rows."""
+    return lambda rows: (pixels[y:y + rows] for y in range(0, len(pixels), rows))
 
 
 def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
@@ -281,7 +291,7 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
 
 def _reference_band(band: np.ndarray, mask: FrequencyMask, work=None) -> np.ndarray:
     """Float64 pipeline of a padded raster band: its pixels. `work`, at least
-    2 * band.size float64s, is scratch for the products (see _band_pass)."""
+    2 * band.size float64s, is scratch for the products (see band_pass)."""
     c = dct_basis()
     # x and y take turns as the input and the output of one GEMM per product over
     # [row, block, column]; p/256 is exact, so left out
@@ -300,51 +310,41 @@ def _reference_band(band: np.ndarray, mask: FrequencyMask, work=None) -> np.ndar
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
     """Float64 pipeline with the same blocks, bands and mask; the accuracy baseline."""
+    bands = _bands(img.pixels)(_band_rows(img.width))
     return GrayImage(np.concatenate([_reference_band(_pad(band), mask)[:len(band), :img.width]
-                                     for band in _bands(img.pixels)]))
+                                     for band in bands]))
 
 
-def _band_pass(bands, widths, mask: FrequencyMask, sink=None):
-    """process_widths over an image's bands of whole block rows (only the last one short),
-    in order. Width k's output rows go to sink(k, rows) if given, valid only during the
-    call. Returns per width: total cycles, clamps, and PSNR against input and reference."""
-    h = w = 0
+def band_pass(width: int, bands, widths, mask: FrequencyMask, sink=None) -> list[WidthReport]:
+    """One WidthReport per bit-width in `widths` of one pass over a raster `width` pixels
+    wide, which bands(rows) yields top to bottom in bands of `rows` rows (pgm_reader's
+    contract); the pass picks the rows. Each band is edge-padded to 8x8 blocks and run
+    through the float reference once, then through the fixed-point pipeline at each
+    width, whose output rows from image row y go to sink(k, y, rows) (k indexes
+    `widths`) if given, valid only during the call."""
+    h, work = 0, None
     totals = np.zeros((len(widths), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
-    work = None
-    for band in bands:
-        (rows, w), padded = band.shape, _pad(band)
-        h += rows
+    for band in bands(_band_rows(width)):
+        padded = _pad(band)
         # one float64 scratch for the pass, sized by the first and largest band: a new
         # one per band would be handed back to the system by malloc and faulted back in
         work = np.empty(2 * padded.size) if work is None else work
-        ref = _reference_band(padded, mask, work)[:rows, :w]
+        ref = _reference_band(padded, mask, work)[:len(band), :width]
         for k, b in enumerate(widths):
             pixels, count = _fixed_band(padded, b, mask)
-            got = pixels[:rows, :w]
+            got = pixels[:len(band), :width]
             if sink:
-                sink(k, got)
+                sink(k, h, got)
             totals[k] += count, _sse(got, band), _sse(got, ref)
-    slots = -(-h // N) * -(-w // N) * 2 * _TRANSFORM_SLOTS  # forward + inverse
-    return [((slots << b) // PARALLELISM, count, _psnr_db(si, h * w),
-             _psnr_db(sr, h * w)) for b, (count, si, sr) in zip(widths, totals.tolist())]
-
-
-def process_widths(img: GrayImage, sels, mask: FrequencyMask) -> list[PipelineReport]:
-    """Run the fixed-point pipeline over a whole image at each AccuracySelect in sels.
-
-    Pixels are padded to 8x8 blocks by edge replication and normalized to
-    p/256 at the 10-bit stage width. Per block: forward 2D transform, mask,
-    inverse 2D transform, de-normalization to 0..255. Each band is padded
-    and run through the float reference once, then through every width.
-    Total cycles are the fixed MAC schedules over PARALLELISM pixels a cycle.
-    """
-    outs = [np.empty_like(img.pixels) for _ in sels]
-    dests = [_bands(out) for out in outs]  # each output's bands, in step with the input's
-    stats = _band_pass(_bands(img.pixels), [sel.bitwidth for sel in sels], mask,
-                       lambda k, rows: np.copyto(next(dests[k]), rows))
-    return [PipelineReport(GrayImage(out), *s) for out, s in zip(outs, stats)]
+        h += len(band)
+    slots = -(-h // N) * -(-width // N) * 2 * _TRANSFORM_SLOTS  # forward + inverse
+    return [WidthReport(b, h * width, (slots << b) // PARALLELISM, *t)
+            for b, t in zip(widths, totals.tolist())]
 
 
 def process_image(img: GrayImage, sel: AccuracySelect, mask: FrequencyMask) -> PipelineReport:
-    """Run the pipeline at one width: one band pass of process_widths."""
-    return process_widths(img, [sel], mask)[0]
+    """band_pass over a whole image at one width, into one output image."""
+    out = np.empty_like(img.pixels)
+    [report] = band_pass(img.width, _bands(img.pixels), [sel.bitwidth], mask,
+                         lambda k, y, rows: np.copyto(out[y:y + len(rows)], rows))
+    return PipelineReport(**vars(report), output=GrayImage(out))

@@ -250,15 +250,17 @@ def prefix_ones(raw: int, width: int, count: int) -> int:
 def prefix_ones_table(width: int, count) -> np.ndarray:
     """``prefix_ones`` of every raw value 0..2**width-1 at each ``count``.
 
-    Entry [raw, *idx] of the ``(2**width, *count.shape)`` result equals
-    ``prefix_ones(raw, width, count[idx])`` for counts in 0..2**width, as
-    int16 up to width 14 and int32 beyond. Built by doubling: rows
-    [2**j, 2**(j+1)) are rows [0, 2**j) plus input bit j's closed-form term.
+    Entry [raw, *idx] of the ``(2**width, *count.shape)`` int16 result equals
+    ``prefix_ones(raw, width, count[idx])`` for counts in 0..2**width; int16
+    holds them up to width 14, and wider tables are refused. Built by doubling:
+    rows [2**j, 2**(j+1)) are rows [0, 2**j) plus input bit j's closed-form term.
     """
+    if width > 14:
+        raise ValueError(f"prefix_ones_table width {width} above 14")
     count = np.asarray(count)
-    table = np.zeros((1 << width, *count.shape), dtype=np.int16 if width < 15 else np.int32)
-    for j in range(width):  # each term fits the table's dtype, so no wider temporary
-        term = ((count + (1 << (width - 1 - j))) >> (width - j)).astype(table.dtype)
+    table = np.zeros((1 << width, *count.shape), dtype=np.int16)
+    for j in range(width):  # each term fits int16, so no wider temporary
+        term = ((count + (1 << (width - 1 - j))) >> (width - j)).astype(np.int16)
         np.add(table[:1 << j], term, out=table[1 << j:2 << j])
     return table
 

@@ -19,24 +19,27 @@ from arsc.dct import (
     PIXEL_SHIFT,
     SAMPLE_WIDTH,
     PipelineReport,
+    WidthReport,
+    _bands,
     _fixed_band,
     _pad,
     _pixel_rows,
     _product_rows,
+    _psnr_db,
     _reference_band,
     _saturation,
     _stage,
+    band_pass,
     dct1d_ref,
     dct_basis,
     idct1d_ref,
     process_image,
-    process_widths,
     psnr,
     reference_pipeline,
 )
 from arsc.mac import BITWIDTHS, AccuracySelect
 from arsc.refimage import reference_image
-from arsc.sc_core import UnsignedFixed
+from arsc.sc_core import UnsignedFixed, prefix_ones_table
 from mac_model import SignMagnitude, mac
 
 
@@ -721,7 +724,7 @@ class TestPrunedEngineOracle:
         proj = dct_basis()[cols].T @ dct_basis()[cols]
         blocks = np.repeat(proj[:, None, :] > 0, N, axis=1).astype(np.uint8) * 255
         image = GrayImage(np.concatenate(list(blocks), axis=1))  # blocks side by side
-        reports = process_widths(image, [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS], mask)
+        reports = _all_widths(image.pixels, mask)
         for b, rep in zip(BITWIDTHS, reports):
             want, want_clamps = _dense_chunk(blocks, b, mask)
             assert np.array_equal(rep.output.pixels, np.concatenate(list(want), axis=1)), b
@@ -732,6 +735,31 @@ class TestPrunedEngineOracle:
         f, _ = _transform2d(x, 6, inverse=False)
         _, stage3 = _stage_samples((f * mask.m).transpose(2, 1, 0), 6, inverse=True)
         assert stage3 > 0
+
+
+    @pytest.mark.parametrize("bits,v", [(10, 130), (9, 137), (8, 142), (7, 160)])
+    def test_stage4_negative_witness(self, bits, v, mac_clamps):
+        # A non-separable mask whose float 2D operator has a negative mass of -2.02
+        # at pixel (3, 2), the most negative of any pixel. The block that is v on
+        # that pixel's negative kernel entries and 0 elsewhere drives one stage-4
+        # sum to exactly -bound, the largest magnitude that is not a clamp.
+        rows = "01111101 11100100 10110101 00010101 11011010 01000110 11100110 11111100"
+        mask = FrequencyMask([[int(c) for c in row] for row in rows.split()])
+        c = dct_basis()
+        kernel = np.einsum("kl,k,l,ki,lj->ij", mask.m, c[:, 3], c[:, 2], c, c)
+        assert round(float(kernel[kernel < 0].sum()), 2) == -2.02
+        block = np.where(kernel < 0, v, 0).astype(np.uint8)
+        x = (block[None].astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - bits)
+        f, _ = _transform2d(x, bits, inverse=False)
+        stage3, _ = _stage_samples((f * mask.m).transpose(2, 1, 0), bits, inverse=True)
+        sums = _stage(stage3.astype(np.intp) + (1 << bits) - 1,
+                      _product_rows(bits, True, _ALL), _ALL)
+        bound = _saturation(bits, True)[1]
+        assert sums.min() == -bound and np.count_nonzero(sums == -bound) == 1
+        scalar, _ = _scalar_pipeline(block, AccuracySelect.from_bitwidth(bits), mask)
+        rep = process_image(GrayImage(block), AccuracySelect.from_bitwidth(bits), mask)
+        assert np.array_equal(rep.output.pixels, scalar)
+        assert rep.clamp_count == sum(mac_clamps) == 0
 
 
 # output sets of a stage, of every padded row width
@@ -791,6 +819,22 @@ class TestProductTables:
         assert np.array_equal(np.take(pixels, acc), want)
 
     @pytest.mark.parametrize("b", BITWIDTHS)
+    def test_products_err_by_bit_plane_terms(self, b):
+        # Sim and Lee's counter-based product is linear in its sample's bits x_j:
+        # prefix_ones(x, b, w) - x * w / 2**b = sum_j x_j * e_j(w), where
+        # e_j(w) = floor((w + 2**(b-1-j)) / 2**(b-j)) - w / 2**(b-j) lies in
+        # (-1/2, 1/2]. Scaled by 2**b every term is an exact integer.
+        w = np.unique(np.floor(np.abs(dct_basis()) * (1 << b) + 0.5).astype(np.int64))
+        j = np.arange(b)[:, None]
+        e = ((w + (1 << (b - 1 - j))) >> (b - j) << b) - (w << j)  # [j, w]: 2**b * e_j(w)
+        assert np.all(-(1 << (b - 1)) < e) and np.all(e <= 1 << (b - 1))
+        x = np.arange(1 << b)[:, None]
+        err = (prefix_ones_table(b, w).astype(np.int64) << b) - x * w  # [x, w]
+        assert np.array_equal(err, ((x >> j.T) & 1) @ e)
+        # the largest error over the DCT weights, in counts: 1.22 at b=6, 1.72 at b=10
+        assert np.abs(err).max() == {10: 1764, 9: 882, 8: 386, 7: 178, 6: 78}[b]
+
+    @pytest.mark.parametrize("b", BITWIDTHS)
     def test_only_inverse_sums_can_clamp(self, b):
         # _fixed_band drops the forward outputs the mask zeroes and counts no
         # forward clamps: exact only while no forward sum can leave the unclamped
@@ -824,6 +868,27 @@ class TestProductTables:
                 assert clamps == want_clamps, (lanes, outs)
 
 
+def _int64_sse(a, b):
+    d = a.astype(np.int64) - b.astype(np.int64)
+    return int((d * d).sum())
+
+
+def _report(b, img, cycles, clamps, pixels, ref):
+    """The PipelineReport of output image img of input pixels at width b, its
+    squared errors summed in int64 against the input and the reference image."""
+    return PipelineReport(b, pixels.size, cycles, clamps, _int64_sse(img.pixels, pixels),
+                          _int64_sse(img.pixels, ref.pixels), output=img)
+
+
+def _all_widths(pixels, mask):
+    """One band_pass over a raster at every width of BITWIDTHS, each width's
+    output rows copied into its own image: one PipelineReport per width."""
+    outs = np.zeros((len(BITWIDTHS), *pixels.shape), dtype=np.uint8)
+    reports = band_pass(pixels.shape[1], _bands(pixels), BITWIDTHS, mask,
+                        lambda k, y, rows: np.copyto(outs[k, y:y + len(rows)], rows))
+    return [PipelineReport(**vars(r), output=GrayImage(out)) for r, out in zip(reports, outs)]
+
+
 def _whole_image(pixels, mask):
     """The single-pass formula: the whole image as one band, one width at a time.
     Returns (reference image, one PipelineReport per width of BITWIDTHS)."""
@@ -833,10 +898,8 @@ def _whole_image(pixels, mask):
     reports = []
     for b in BITWIDTHS:
         out, clamps = _fixed_band(padded, b, mask)
-        img = GrayImage(out[:h, :w])
         cycles = (padded.size // (N * N) * 2048 << b) // PARALLELISM
-        reports.append(PipelineReport(img, cycles, clamps, psnr(img, GrayImage(pixels)),
-                                      psnr(img, ref)))
+        reports.append(_report(b, GrayImage(out[:h, :w]), cycles, clamps, pixels, ref))
     return ref, reports
 
 
@@ -862,10 +925,8 @@ def _assert_dense_reports(pixels, mask, reports):
     for b, rep in zip(BITWIDTHS, reports):
         out, clamps = _dense_chunk(blocks, b, mask)
         img = out.reshape(grid).swapaxes(1, 2).reshape(grid[0] * N, -1)
-        img = GrayImage(img[:h, :w])
         cycles = (len(blocks) * 2048 << b) // PARALLELISM
-        assert rep == PipelineReport(img, cycles, clamps, psnr(img, GrayImage(pixels)),
-                                     psnr(img, ref)), (pixels.shape, b)
+        assert rep == _report(b, GrayImage(img[:h, :w]), cycles, clamps, pixels, ref), (h, w, b)
     return ref
 
 
@@ -880,13 +941,12 @@ class TestBands:
         rng = np.random.default_rng(chunk)
         # the last shape is wider than one band, so each band is one block row
         shapes = [(1, 1), (1, 77), (37, 29), (101, 64), (8, 8 * (chunk + 3))]
-        sels = [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS]
         for shape in shapes:
             pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
             ref, want = _whole_image(pixels, mask)
-            got = process_widths(GrayImage(pixels), sels, mask)
+            got = _all_widths(pixels, mask)
             assert got == want, shape
-            assert [r.output.pixels.shape for r in got] == [shape] * len(sels)
+            assert [r.output.pixels.shape for r in got] == [shape] * len(BITWIDTHS)
             assert reference_pipeline(GrayImage(pixels), mask) == ref, shape
 
     @pytest.mark.parametrize("mask", [FrequencyMask.allpass(), FrequencyMask.lowpass(4),
@@ -897,11 +957,10 @@ class TestBands:
         # last product would write into a copy
         assert N * arsc.dct.CHUNK_BLOCKS < 4100
         rng = np.random.default_rng(17)
-        sels = [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS]
         for shape in [(16, 8), (8, 16), (1000, 5), (5, 1000), (4100, 8)]:
             pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
             pixels[:, ::3] = rng.integers(0, 2, size=pixels[:, ::3].shape) * 255  # full swing
-            ref = _assert_dense_reports(pixels, mask, process_widths(GrayImage(pixels), sels, mask))
+            ref = _assert_dense_reports(pixels, mask, _all_widths(pixels, mask))
             assert reference_pipeline(GrayImage(pixels), mask) == ref, shape
 
     @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**64 - 1),
@@ -915,10 +974,9 @@ class TestBands:
         pixels = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
         swing = rng.random(w) < 0.5
         pixels[:, swing] = rng.integers(0, 2, size=(h, int(swing.sum()))) * 255
-        sels = [AccuracySelect.from_bitwidth(b) for b in BITWIDTHS]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arsc.dct, "CHUNK_BLOCKS", chunk)
-            reports = process_widths(GrayImage(pixels), sels, mask)
+            reports = _all_widths(pixels, mask)
         _assert_dense_reports(pixels, mask, reports)
 
     @pytest.mark.parametrize("shape", [(8, 8), (16, 24), (9, 8), (8, 13), (1, 1), (23, 40)])
@@ -932,6 +990,28 @@ class TestBands:
         got = _pad(pixels)
         assert np.array_equal(got, pixels[np.ix_(rows, cols)])
         assert (got is pixels) == (h % N == 0 and w % N == 0)
+
+
+class TestBandPassRecord:
+    """band_pass's record per width holds exact integers, and its PSNRs derive from them."""
+
+    @pytest.mark.parametrize("mask", [FrequencyMask.lowpass(4), FrequencyMask.allpass()],
+                             ids=["lowpass:4", "allpass"])
+    @pytest.mark.parametrize("shape", [None, (523, 1037)], ids=["reference", "ragged"])
+    def test_fields_are_exact(self, shape, mask):
+        pixels = (reference_image().pixels if shape is None else
+                  np.random.default_rng(523).integers(0, 256, size=shape, dtype=np.uint8))
+        ref = reference_pipeline(GrayImage(pixels), mask).pixels
+        records = band_pass(pixels.shape[1], _bands(pixels), BITWIDTHS, mask)
+        for b, got, rep in zip(BITWIDTHS, records, _all_widths(pixels, mask)):
+            assert type(got) is WidthReport and vars(rep) == {**vars(got), "output": rep.output}
+            assert all(type(value) is int for value in vars(got).values())
+            assert (got.bitwidth, got.pixels) == (b, pixels.size)
+            assert got.sse_input == _int64_sse(rep.output.pixels, pixels)
+            assert got.sse_reference == _int64_sse(rep.output.pixels, ref)
+            assert got.psnr_vs_input == _psnr_db(got.sse_input, got.pixels)
+            assert got.psnr_vs_reference == _psnr_db(got.sse_reference, got.pixels)
+            assert got.sse_reference > 0 and rep.psnr_vs_reference == got.psnr_vs_reference
 
 
 class TestGrayImage:

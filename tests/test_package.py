@@ -1,5 +1,6 @@
 """The package root: public names are imported from their modules."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,14 @@ print("mac_model" in sys.modules)
 """
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout == "['AccuracySelect', 'BITWIDTHS']\nFalse\n"
+
+
+def test_modules_import_no_private_name():
+    # a module reaches another's code only through its public names
+    found = []
+    for path in sorted(Path(arsc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("arsc")):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

@@ -258,14 +258,20 @@ class TestCbscMultiply:
         want = [[prefix_ones(x, n, w) for w in range(size + 1)] for x in range(size)]
         assert got.tolist() == want
 
-    @pytest.mark.parametrize("n", [14, 15, 16])
+    @pytest.mark.parametrize("n", [14])
     def test_table_dtype_holds_every_count(self, n):
-        # int16 up to width 14 and int32 beyond, so the top rows never wrap
+        # int16 up to width 14, so the top rows never wrap
         counts = [0, 1, 3, (1 << n) - 1, 1 << n]
         raws = [0, 1, (1 << n) // 3, (1 << n) - 2, (1 << n) - 1]
         table = prefix_ones_table(n, np.array(counts))
-        assert table.shape == (1 << n, len(counts))
+        assert table.shape == (1 << n, len(counts)) and table.dtype == np.int16
         assert table[raws].tolist() == [[prefix_ones(x, n, w) for w in counts] for x in raws]
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_table_refuses_widths_above_14(self, n):
+        # a count of 2**15 or more would wrap int16
+        with pytest.raises(ValueError, match=f"width {n} above 14"):
+            prefix_ones_table(n, np.array([0, 1 << n]))
 
 
 def deterministic_streams(width: int) -> np.ndarray:
