@@ -7,12 +7,13 @@ sign-magnitude MAC unit bit for bit (its scalar model is the tests' oracle,
 tests/mac_model.py). Each 1D stage reads its lanes as the leading axis of a
 view of the band and sums, in int16, one gathered row of counter-based
 products per sample and lane, next stage's lanes first. Cached tables fold
-in every elementwise pass: stage 1's rows take the raw pixel, and saturation
-tables take each signed sum to the next stage's row index or to the
-de-normalised pixel. Stages run only the coefficient rows and columns that
-hold a kept one of the frequency mask. Only inverse sums count clamps: no
-forward sum can reach the clamp (see _fixed_band). A float64 path of the
-same structure, one GEMM per matrix product, is the accuracy reference.
+in every elementwise pass but one add: stage 1's rows take the raw pixel, and
+saturation tables take each sum, biased by 8 << b in place so that no index
+is negative, to the next stage's row index or to the de-normalised pixel.
+Stages run only the coefficient rows and columns that hold a kept one of the
+frequency mask. Only inverse sums count clamps: no forward sum can reach the
+clamp (see _fixed_band). A float64 path of the same structure, one GEMM per
+matrix product, is the accuracy reference.
 Every 1D stage output is scaled by 1/4 before buffering (and re-amplified by
 4 in the inverse stages) so that all multiplier operands stay inside [0, 1);
 the net gain is exactly 1.
@@ -153,9 +154,10 @@ def _pixel_rows(b: int, outs: tuple[int, ...]) -> np.ndarray:
 def _saturation(b: int, inverse: bool, pixels: bool = False) -> tuple[np.ndarray, int]:
     """Post table of one direction at width b and the largest |sum| it leaves unclamped.
 
-    Entry acc is the intp row index sv + 2**b - 1 of sv = |acc| >> 2 (<< 2 if
-    inverse) clamped to 2**b - 1 and signed as acc, or with `pixels` the uint8
-    pixel sv de-normalises to. Every sum in [-8 * 2**b, 8 * 2**b] indexes it."""
+    Entry i is for the stage sum acc = i - (8 << b), so every sum in
+    [-8 * 2**b, 8 * 2**b] indexes it once biased by 8 << b: the intp row index
+    sv + 2**b - 1 of sv = |acc| >> 2 (<< 2 if inverse) clamped to 2**b - 1 and
+    signed as acc, or with `pixels` the uint8 pixel sv de-normalises to."""
     acc = np.arange(-N << b, (N << b) + 1)
     mag = np.abs(acc) << INTER_STAGE_SHIFT if inverse else np.abs(acc) >> INTER_STAGE_SHIFT
     sv = np.sign(acc) * np.minimum(mag, (1 << b) - 1)
@@ -163,7 +165,6 @@ def _saturation(b: int, inverse: bool, pixels: bool = False) -> tuple[np.ndarray
     # unsaturated sample one, and a saturated one clips to 0 or 255 unrounded
     table = (np.clip((sv << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255).astype(np.uint8)
              if pixels else (sv + (1 << b) - 1).astype(np.intp))
-    table = np.roll(table, -(N << b))
     table.setflags(write=False)
     return table, int(np.abs(acc[mag < 1 << b]).max())
 
@@ -172,9 +173,9 @@ def _stage(idx: np.ndarray, rows: np.ndarray, lanes: tuple[int, ...]) -> np.ndar
     """int16 [*idx.shape[1:], product] sums of one 1D MAC stage: the product rows of
     lane lanes[p] gathered at row indices idx[p] (contiguous intp, or pixels) and
     added over p, exactly: |sum| <= 8 * 2**b <= 8192."""
-    acc = np.take(rows[lanes[0]], idx[0]).view(np.int16)
+    acc = rows[lanes[0]].take(idx[0]).view(np.int16)
     for p in range(1, len(lanes)):
-        acc += np.take(rows[lanes[p]], idx[p]).view(np.int16)
+        acc += rows[lanes[p]].take(idx[p]).view(np.int16)
     return acc.reshape(*idx.shape[1:], -1)
 
 
@@ -206,8 +207,10 @@ class GrayImage:
 
 def _sse(a: np.ndarray, b: np.ndarray) -> int:
     """Exact integer sum of squared differences of two uint8 arrays."""
-    d = (np.maximum(a, b) - np.minimum(a, b)).astype(np.uint16)
-    return int(np.sum(d * d, dtype=np.uint64))  # d * d <= 255**2: exact in uint16
+    d = (np.maximum(a, b) - np.minimum(a, b)).astype(np.uint16).ravel()
+    np.multiply(d, d, out=d)  # <= 255**2: exact in uint16
+    # 2**16 squares sum to less than 2**32: exact in uint32
+    return sum(int(d[i:i + (1 << 16)].sum(dtype=np.uint32)) for i in range(0, d.size, 1 << 16))
 
 
 def _psnr_db(sse: int, pixels: int) -> float:
@@ -265,27 +268,35 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
 
     Forward stage 2 runs only the kept rows' vectors, and the inverse stages
     skip the lanes that zeroed coefficients and vectors feed, which add 0.
-    Only inverse sums count clamps: a forward sum is at most 2896 * 2**(b-10)
-    in magnitude, inside the unclamped 4 * 2**b - 1.
+    Each stage's int16 sums are biased by 8 << b in place before they index a
+    saturation table: a biased sum lies in [0, 16 * 2**b] <= 16384, so no
+    lookup takes a negative index, which np.take wraps behind a data-dependent
+    branch. Only inverse sums count clamps: a forward sum is at most
+    2896 * 2**(b-10) in magnitude, inside the unclamped 4 * 2**b - 1.
     """
     rows, cols = mask.kept_rows, mask.kept_cols
     if not rows:
         return np.zeros(band.shape, dtype=np.uint8), 0
+    bias = N << b
     forward, inverse = _saturation(b, False)[0], _product_rows(b, True, _ALL)
     post, bound = _saturation(b, True)
     # pixel [r, i, c, j] of the band is sample i of the vector [j, r, c]
     acc = _stage(band.reshape(-1, N, band.shape[1] // N, N).transpose(1, 3, 0, 2),
                  _pixel_rows(b, rows), _ALL)  # [j, r, c, row k]
-    acc = _stage(np.take(forward, acc[..., :len(rows)]),
+    acc += bias
+    acc = _stage(forward.take(acc[..., :len(rows)]),
                  _product_rows(b, False, cols), _ALL)  # [r, c, k, column l]
-    x = np.take(forward, acc[..., :len(cols)].transpose(3, 2, 0, 1))  # [l, k, r, c]
+    acc += bias
+    x = forward.take(acc[..., :len(cols)].transpose(3, 2, 0, 1))  # [l, k, r, c]
     if not mask.kept_block.all():  # a zeroed coefficient is the sample 0
         np.copyto(x, (1 << b) - 1, where=mask.kept_block.T[..., None, None] == 0)
     acc = _stage(x, inverse, cols)  # [k, r, c, pixel column j]
-    clamps = np.count_nonzero(acc < -bound) + np.count_nonzero(acc > bound)
-    acc = _stage(np.take(post, acc), inverse, rows)  # [r, c, j, pixel row i]
-    clamps += np.count_nonzero(acc < -bound) + np.count_nonzero(acc > bound)
-    pixels = np.take(_saturation(b, True, pixels=True)[0], acc.transpose(0, 3, 1, 2))
+    acc += bias
+    clamps = np.count_nonzero(acc < bias - bound) + np.count_nonzero(acc > bias + bound)
+    acc = _stage(post.take(acc), inverse, rows)  # [r, c, j, pixel row i]
+    acc += bias
+    clamps += np.count_nonzero(acc < bias - bound) + np.count_nonzero(acc > bias + bound)
+    pixels = _saturation(b, True, pixels=True)[0].take(acc.transpose(0, 3, 1, 2))
     return pixels.reshape(band.shape), int(clamps)
 
 

@@ -28,6 +28,7 @@ from arsc.dct import (
     _psnr_db,
     _reference_band,
     _saturation,
+    _sse,
     _stage,
     band_pass,
     dct1d_ref,
@@ -557,7 +558,7 @@ def _stage_samples(x, b, inverse, lanes=_ALL, outs=_ALL):
     sums = _stage(np.asarray(x, dtype=np.intp) + offset, _product_rows(b, inverse, outs), lanes)
     assert sums.dtype == np.int16
     post, bound = _saturation(b, inverse)
-    idx = np.take(post, sums[..., :len(outs)])
+    idx = np.take(post, sums[..., :len(outs)] + (N << b))
     assert idx.dtype == np.intp
     clamps = np.count_nonzero(sums < -bound) + np.count_nonzero(sums > bound)
     return (idx - offset).astype(np.int16), int(clamps)
@@ -712,6 +713,26 @@ class TestPrunedEngineOracle:
         want, want_clamps = _dense_chunk(blocks, bits, mask)
         assert np.array_equal(got, want) and got_clamps == want_clamps
 
+    @pytest.mark.parametrize("bits", BITWIDTHS)
+    def test_biased_sums_index_the_tables(self, bits, monkeypatch):
+        # _fixed_band biases each stage's int16 sums by 8 * 2**b before it looks
+        # them up: on full-swing blocks, under every mask, each biased sum must
+        # index a table of 16 * 2**b + 1 entries
+        sums, stage = [], arsc.dct._stage
+
+        def recording(*args):
+            acc = stage(*args)
+            sums.append(acc.copy())
+            return acc
+
+        monkeypatch.setattr(arsc.dct, "_stage", recording)
+        for mask in PRUNING_MASKS.values():
+            _fixed_blocks(SWING_BLOCKS, bits, mask)
+        assert len(sums) == 4 * (len(PRUNING_MASKS) - 1)  # the zero mask runs no stage
+        for acc in sums:
+            assert acc.dtype == np.int16
+            assert 0 <= int(acc.min()) + (N << bits) and int(acc.max()) + (N << bits) <= 16 << bits
+
     def test_stage3_witness(self):
         # Keep only row 0, at columns S. In float, stage 3's output at pixel column j
         # is 1/4 * sum_j' P[j, j'] * Y[0, j'] with P = C[S]^T C[S], so block j, whose
@@ -800,8 +821,8 @@ class TestProductTables:
 
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_saturation_tables_take_every_signed_sum(self, b):
-        # a stage sum lies in [-8 * 2**b, 8 * 2**b] and indexes the table as it is,
-        # negative sums from the end
+        # a stage sum lies in [-8 * 2**b, 8 * 2**b] and indexes the table biased by
+        # 8 * 2**b: entry 0 is the sum -8 * 2**b, never the sum 0
         acc = np.arange(-N << b, (N << b) + 1)
         top = (1 << b) - 1
         for inverse in (False, True):
@@ -809,14 +830,17 @@ class TestProductTables:
             sv = np.sign(acc) * np.minimum(mag, top)
             table, bound = _saturation(b, inverse)
             assert table.dtype == np.intp and not table.flags.writeable
-            assert np.array_equal(np.take(table, acc), sv + top)
+            assert len(table) == (16 << b) + 1
+            assert (table[0], table[N << b]) == (0, top)  # samples -top and 0
+            assert np.array_equal(np.take(table, acc + (N << b)), sv + top)
             assert bound == np.abs(acc[mag <= top]).max()
         pixels = _saturation(b, True, pixels=True)[0]
         assert pixels.dtype == np.uint8 and not pixels.flags.writeable
+        assert len(pixels) == (16 << b) + 1
         # a pixel is the 10-bit sample over 4, rounded half away from zero
         raw = (np.sign(acc) * np.minimum(np.abs(acc) << 2, top)) << (SAMPLE_WIDTH - b)
         want = np.clip(np.sign(raw) * ((np.abs(raw) + 2) >> 2), 0, 255)
-        assert np.array_equal(np.take(pixels, acc), want)
+        assert np.array_equal(np.take(pixels, acc + (N << b)), want)
 
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_products_err_by_bit_plane_terms(self, b):
@@ -1012,6 +1036,21 @@ class TestBandPassRecord:
             assert got.psnr_vs_input == _psnr_db(got.sse_input, got.pixels)
             assert got.psnr_vs_reference == _psnr_db(got.sse_reference, got.pixels)
             assert got.sse_reference > 0 and rep.psnr_vs_reference == got.psnr_vs_reference
+
+
+    def test_sse_past_one_uint32_chunk(self):
+        # _sse sums the squares in uint32 over chunks of 2**16; 2**17 + 1 squares
+        # of 255 fill two chunks and start a third, and add up past 2**32
+        n = (1 << 17) + 1
+        assert _sse(np.zeros(n, np.uint8), np.full(n, 255, np.uint8)) == n * 65025 > 1 << 32
+        # one band of 65,600 full-swing pixels
+        pixels = np.random.default_rng(8200).integers(0, 2, (8, 8200), dtype=np.uint8) * 255
+        assert arsc.dct._band_rows(pixels.shape[1]) == len(pixels)
+        mask = FrequencyMask.lowpass(4)
+        ref = reference_pipeline(GrayImage(pixels), mask).pixels
+        for rep in _all_widths(pixels, mask):
+            assert rep.sse_input == _int64_sse(rep.output.pixels, pixels)
+            assert rep.sse_reference == _int64_sse(rep.output.pixels, ref)
 
 
 class TestGrayImage:
