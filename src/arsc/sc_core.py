@@ -265,9 +265,9 @@ def prefix_ones_table(width: int, count) -> np.ndarray:
     return table
 
 
-# operand rows per verify_multiplier block, a power of two. At width 10, 64 rows
-# ran as fast as 256 on a 2-vCPU Xeon in 1.3 MB of buffers, not 4.6 MB; beside the
-# 2 MB product table the larger set had its pages returned and faulted in per call
+# operand rows per verify_multiplier block, a power of two. At width 10 on a 2-vCPU Xeon
+# (best of 150 calls; tracemalloc peak beside the 2.1 MB product table): 32 rows took 5.4 ms
+# in 0.7 MB, 64 rows 4.6 ms in 1.3 MB, 128 rows 6.4 ms in 2.5 MB, 256 rows 6.9 ms in 5.0 MB
 VERIFY_ROWS = 64
 
 
@@ -282,36 +282,37 @@ class MultiplierCheck(NamedTuple):
 
 
 def verify_multiplier(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
-    """Check both multipliers on each operand pair at the LFSR width n (int16 counts, int32 errors).
+    """Check both multipliers on each operand pair at the LFSR width n, exactly.
 
-    The count of each ``sng_deterministic`` stream ANDed with ``unary_gen(w)``
-    must equal the product p, ``prefix_ones_table``. The conventional count
-    c[x, w] = #{i : sx_i < x and sw_i < w} is that of two ANDed
-    ``sng_conventional`` streams. Operands run in blocks of VERIFY_ROWS.
+    The count of each ``sng_deterministic`` stream ANDed with ``unary_gen(w)`` must
+    equal the product p, ``prefix_ones_table``. The conventional count c[x, w] =
+    #{i : sx_i < x and sw_i < w} is that of two ANDed ``sng_conventional`` streams.
+    Operands run in blocks of VERIFY_ROWS, with streams and counts in int16 and errors
+    in int32, summed by int32 rows (int64 rows where a block's errors could overflow).
     """
     if (n := cfg_x.width) != cfg_w.width:
         raise ValueError(f"LFSR widths {n}, {cfg_w.width} differ")
     size, rows = 1 << n, min(VERIFY_ROWS, 1 << n)
     w = np.arange(size + 1, dtype=np.int32)
+    w16 = w.astype(np.int16)  # every operand and LFSR state is at most 2**10
     product = prefix_ones_table(n, w)
-    # at cycle c stream x emits column ctz(c) of row x: x_{n-1-ctz}, 0 if ctz = n
-    ctz = np.log2(w[1:] & -w[1:]).astype(np.intp)  # exact: c & -c is 2**ctz(c)
-    columns = np.zeros((size, n + 1), dtype=np.int16)
-    columns[:, :n] = (w[:size, None] >> np.arange(n - 1, -1, -1)) & 1
+    shift = np.full(size, n, dtype=np.int16)  # at cycle c stream x emits x >> shift[c-1] & 1:
+    for j in range(n):  # x_{n-1-j} at the cycles c with ctz(c) = j, and 0 at c = 2**n
+        shift[(1 << j) - 1::2 << j] = n - 1 - j
     # samples sorted by x-state: c[x] counts sw_i < w over the first k[x] of them
     sx = lfsr_states_array(cfg_x, size)
     order = np.argsort(sx, kind="stable")
-    sw, k = lfsr_states_array(cfg_w, size)[order], np.searchsorted(sx[order], w)
+    sw, k = lfsr_states_array(cfg_w, size)[order].astype(np.int16), np.searchsorted(sx[order], w)
     most = int(np.diff(k[::rows]).max())  # rows + 1 where the seed state repeats
 
     streams, counts, step = np.empty((3, rows, size), dtype=np.int16)
-    xw, err = np.empty((2, rows, size + 1), dtype=np.int32)
+    xw, err = np.multiply.outer(w[:rows], w), np.empty((rows, size + 1), dtype=np.int32)
     scan, spare = np.zeros((2, most + 1, size), dtype=np.int16)  # row 0: c[k[x0]]
-    conv = err[:, :size]
+    conv = err.reshape(-1)[:rows * size].reshape(rows, size)  # contiguous, unlike err[:, :size]
     mismatches = cbsc_max = cbsc_sum = conv_sum = 0
     for x0 in range(0, size, rows):
         x1 = x0 + rows
-        np.take(columns[x0:x1], ctz, axis=1, out=streams, mode="clip")
+        np.bitwise_and(np.right_shift(w16[x0:x1, None], shift, out=streams), 1, out=streams)
         # P[x, w] counts stream x's first w bits for all w iff P[x, 0] = 0 and each increment
         # is the emitted bit. Increments may wrap in int16, but P and every count (0..2**10)
         # then agree mod 2**16 within one int16 range, so are equal; failing rows get counted
@@ -321,13 +322,15 @@ def verify_multiplier(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
         gate = np.cumsum(streams[bad], axis=1, dtype=np.int16)
         mismatches += int(np.count_nonzero(block[bad, 0]))
         mismatches += int(np.count_nonzero(block[bad, 1:] != gate))
-        np.multiply.outer(w[x0:x1], w, out=xw)
         np.left_shift(block, n, out=err, dtype=np.int32)
         np.abs(np.subtract(err, xw, out=err), out=err)
-        cbsc_max, cbsc_sum = max(cbsc_max, int(err.max())), cbsc_sum + int(err.sum(dtype=np.int64))
+        # int32 sums a row of size + 1 errors <= top below 2**31; edited tables reach ~2**25
+        top = int(err.max())
+        row_sums = err.sum(axis=1, dtype=np.int32 if top * (size + 1) < 1 << 31 else np.int64)
+        cbsc_max, cbsc_sum = max(cbsc_max, top), cbsc_sum + int(row_sums.sum(dtype=np.int64))
         # the block's samples, scanned by doubling from the carried row 0
         m, d = k[x1] - k[x0], 1
-        np.less(sw[k[x0]:k[x1], None], w[:size], out=scan[1:m + 1])
+        np.less(sw[k[x0]:k[x1], None], w16[:size], out=scan[1:m + 1])
         while d <= m:
             spare[:d] = scan[:d]
             np.add(scan[d:m + 1], scan[:m + 1 - d], out=spare[d:m + 1])
@@ -336,7 +339,9 @@ def verify_multiplier(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
         scan[0] = scan[m]
         np.left_shift(counts, n, out=conv, dtype=np.int32)
         np.abs(np.subtract(conv, xw[:, :size], out=conv), out=conv)
-        conv_sum += int(conv.sum(dtype=np.int64))
+        # counts <= 2**n and x·w < 4**n, so for n <= 10 each row sums below 2**31 in int32
+        conv_sum += int(conv.sum(axis=1, dtype=np.int32).sum(dtype=np.int64))
+        xw += rows * w  # the next block's x·w
     return MultiplierCheck(size * (size + 1), mismatches, cbsc_max, cbsc_sum, conv_sum)
 
 

@@ -479,6 +479,22 @@ class TestVerifyMultiplier:
 
         assert _edited_table_mismatches(monkeypatch, edit) == (1025 - 100) + 1024 + 1025
 
+    @pytest.mark.parametrize("rows", [1, 64, 1 << 11])
+    def test_error_rows_past_int32(self, monkeypatch, rows):
+        # the first and the last row err by about 2**25 per entry, so each of their error
+        # sums passes 2**31 and wraps if its block is summed in int32 rows
+        monkeypatch.setattr(arsc.sc_core, "VERIFY_ROWS", rows)
+
+        def edit(table):
+            table[0] += 30000
+            table[1023] -= 30000
+
+        table = prefix_ones_table(10, np.arange(1025)).astype(np.int64)
+        edit(table)
+        xw = np.multiply.outer(np.arange(1024), np.arange(1025))
+        assert (np.abs(table * 1024 - xw)[[0, 1023]].sum(axis=1) > 1 << 31).all()
+        assert _edited_table_mismatches(monkeypatch, edit) == 2 * 1025
+
     @pytest.mark.parametrize("shift", [1, -1])
     def test_rows_of_streams_one_cycle_off(self, monkeypatch, shift):
         # each row counts its own stream one cycle late or early, so its increments
