@@ -6,14 +6,13 @@ clamps and squared errors per width. The fixed-point path reproduces the
 sign-magnitude MAC unit bit for bit (its scalar model is the tests' oracle,
 tests/mac_model.py). Each 1D stage reads its lanes as the leading axis of a
 view of the band and sums, in int16, one gathered row of counter-based
-products per sample and lane, next stage's lanes first. Cached tables fold
-in every elementwise pass but one add: stage 1's rows take the raw pixel, and
-saturation tables take each sum, biased by 8 << b in place so that no index
-is negative, to the next stage's row index or to the de-normalised pixel.
-Stages run only the coefficient rows and columns that hold a kept one of the
-frequency mask. Only inverse sums count clamps: no forward sum can reach the
-clamp (see _fixed_band). A float64 path of the same structure, one GEMM per
-matrix product, is the accuracy reference.
+products per sample and lane, next stage's lanes first. A stage's cached
+table (_stage_rows) is indexed by its input as it is, the raw pixel or the
+last stage's sum offset in place, and folds in the saturation between
+stages; stage 4's sums become pixels by exact arithmetic. Stages run only the
+coefficient rows and columns holding a kept one of the frequency mask, and
+only inverse sums count clamps (see _fixed_band). A float64 path of the same
+structure, one GEMM per matrix product, is the accuracy reference.
 Every 1D stage output is scaled by 1/4 before buffering (and re-amplified by
 4 in the inverse stages) so that all multiplier operands stay inside [0, 1);
 the net gain is exactly 1.
@@ -118,68 +117,70 @@ class FrequencyMask:
 _TRANSFORM_SLOTS = 2 * N * N * N
 _ALL = tuple(range(N))  # every lane or output of a stage
 _ROW_TYPES = {1: np.int16, 2: np.int32, 4: np.int64, 8: np.complex128}  # by products per row
-# blocks per band of whole block rows. Each stage holds about 1.5 KB of
-# temporaries per block: smaller bands pay more per-band overhead, larger
-# ones outgrow a 2 MB L2 cache (512 beat 256 and 1024 at 256² and 1024²)
-CHUNK_BLOCKS = 512
+# blocks per band of whole block rows: ≈0.6 KB of fixed-point temporaries per block
+# (allpass), 1 KB of float scratch. 1024 beat 512 with both masks at 256² and 1024²
+CHUNK_BLOCKS = 1024
 
 
-@lru_cache(maxsize=None)
 def _product_rows(b: int, inverse: bool, outs: tuple[int, ...]) -> np.ndarray:
     """Counter-based product rows of outputs `outs` of one direction at width b.
 
     Row sv + 2**b - 1 of lane i is one _ROW_TYPES scalar: the int16 products
     sign(sv) * sign(c[k, i]) * prefix_ones(|sv|, b, round(|c[k, i]| * 2**b)) of a
     signed b-bit sample sv for k in `outs`, in that order, zero-padded to 1, 2, 4
-    or 8 products; c is the basis, transposed if inverse."""
+    or 8 products; c is the basis, transposed if inverse. Uncached: see _stage_rows."""
     c = dct_basis().T if inverse else dct_basis()
     coeffs = np.zeros((1 << (len(outs) - 1).bit_length(), N))  # padding weighs 0
     coeffs[:len(outs)] = c[list(outs)]
     # round(|c| * 2**b), ties away from zero
     weights = np.floor(np.abs(coeffs) * (1 << b) + 0.5).astype(np.int64)
-    prod = prefix_ones_table(b, weights.T) * np.where(coeffs < 0, -1, 1).T  # [|sv|, lane i, k]
-    signed = np.concatenate([-prod[:0:-1], prod]).astype(np.int16)
+    prod = prefix_ones_table(b, weights.T) * np.where(coeffs.T < 0, np.int16(-1), np.int16(1))
+    signed = np.concatenate([-prod[:0:-1], prod])  # int16 [sv, lane i, k]
     rows = signed.swapaxes(0, 1).copy().view(_ROW_TYPES[len(coeffs)])  # C order: lanes contiguous
     rows.setflags(write=False)
     return rows
 
 
 @lru_cache(maxsize=None)
-def _pixel_rows(b: int, outs: tuple[int, ...]) -> np.ndarray:
-    """_product_rows of forward outputs `outs` at width b, indexed by the raw pixel
-    p: a pixel is the 10-bit sample p << PIXEL_SHIFT, truncated to b bits."""
-    sv = (np.arange(256) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
-    rows = _product_rows(b, False, outs)[:, sv + (1 << b) - 1]
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _saturation(b: int, inverse: bool, pixels: bool = False) -> tuple[np.ndarray, int]:
-    """Post table of one direction at width b and the largest |sum| it leaves unclamped.
-
-    Entry i is for the stage sum acc = i - (8 << b), so every sum in
-    [-8 * 2**b, 8 * 2**b] indexes it once biased by 8 << b: the intp row index
-    sv + 2**b - 1 of sv = |acc| >> 2 (<< 2 if inverse) clamped to 2**b - 1 and
-    signed as acc, or with `pixels` the uint8 pixel sv de-normalises to."""
-    acc = np.arange(-N << b, (N << b) + 1)
-    mag = np.abs(acc) << INTER_STAGE_SHIFT if inverse else np.abs(acc) >> INTER_STAGE_SHIFT
-    sv = np.sign(acc) * np.minimum(mag, (1 << b) - 1)
-    # a pixel step is 4 raw units: the last inverse stage's << 2 makes every
-    # unsaturated sample one, and a saturated one clips to 0 or 255 unrounded
-    table = (np.clip((sv << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, 0, 255).astype(np.uint8)
-             if pixels else (sv + (1 << b) - 1).astype(np.intp))
+def _stage_rows(b: int, stage: int, rows: tuple[int, ...] = _ALL, cols: tuple[int, ...] = _ALL):
+    """(table, lo) of MAC stage 1 to 4 at width b for kept outputs rows and cols:
+    _product_rows (forward of rows, of cols, then inverse of all; kept only here)
+    at the sample of input acc in row acc - lo. Stage 1 takes the pixel acc, the
+    sample (acc << 2) >> (10 - b); a later one the last sum acc, saturated: sign(acc)
+    * min(|acc| >> 2 (<< 2 into stage 4), 2**b - 1). The rows span every reachable
+    acc: [0, 255], a reach, or |acc| <= 2**(b-2) into stage 4, whose lookups clip."""
+    lo, hi = (0, 255) if stage == 1 else (-(1 << (b - 2)), 1 << (b - 2))
+    if stage in (2, 3):  # the stage-1 reach of rows, or the all-pass stage-2 one (not kept)
+        p = (_stage_rows(b, 1, rows) if stage == 2 else _stage_rows.__wrapped__(b, 2))[0]
+        p = p.view(np.int16)  # [lane, row, output]
+        lo, hi = int(p.min(axis=1).sum(axis=0).min()), int(p.max(axis=1).sum(axis=0).max())
+    acc = np.arange(lo, hi + 1)
+    mag = np.abs(acc) << INTER_STAGE_SHIFT if stage == 4 else np.abs(acc) >> INTER_STAGE_SHIFT
+    sv = ((acc << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b) if stage == 1
+          else np.sign(acc) * np.minimum(mag, (1 << b) - 1))
+    table = _product_rows(b, stage > 2, (rows, cols, _ALL, _ALL)[stage - 1])[:, sv + (1 << b) - 1]
     table.setflags(write=False)
-    return table, int(np.abs(acc[mag < 1 << b]).max())
+    return table, lo
+
+
+def _clamps(acc: np.ndarray, b: int) -> int:
+    """Inverse-stage sums of acc that saturate: |acc| > 2**(b-2) - 1."""
+    return int(np.count_nonzero(np.abs(acc) > (1 << (b - 2)) - 1))
+
+
+def _to_pixels(acc: np.ndarray, b: int) -> np.ndarray:
+    """Pixels of stage-4 sums acc, in place: clip(acc << (10-b), 0, ((2**b-1) << (10-b)) >> 2)."""
+    np.left_shift(acc, SAMPLE_WIDTH - b, out=acc)
+    return np.clip(acc, 0, ((1 << b) - 1 << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT, out=acc)
 
 
 def _stage(idx: np.ndarray, rows: np.ndarray, lanes: tuple[int, ...]) -> np.ndarray:
     """int16 [*idx.shape[1:], product] sums of one 1D MAC stage: the product rows of
-    lane lanes[p] gathered at row indices idx[p] (contiguous intp, or pixels) and
-    added over p, exactly: |sum| <= 8 * 2**b <= 8192."""
-    acc = rows[lanes[0]].take(idx[0]).view(np.int16)
+    lane lanes[p] gathered at row indices idx[p], clipped to the table (only stage 4's
+    pass its ends), and added over p, exactly: |sum| <= 8 * 2**b <= 8192."""
+    acc = rows[lanes[0]].take(idx[0], mode="clip").view(np.int16)
     for p in range(1, len(lanes)):
-        acc += rows[lanes[p]].take(idx[p]).view(np.int16)
+        acc += rows[lanes[p]].take(idx[p], mode="clip").view(np.int16)
     return acc.reshape(*idx.shape[1:], -1)
 
 
@@ -272,36 +273,34 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
 
     Forward stage 2 runs only the kept rows' vectors, and the inverse stages
     skip the lanes that zeroed coefficients and vectors feed, which add 0.
-    Each stage's int16 sums are biased by 8 << b in place before they index a
-    saturation table: a biased sum lies in [0, 16 * 2**b] <= 16384, so no
-    lookup takes a negative index, which np.take wraps behind a data-dependent
-    branch. Only inverse sums count clamps: a forward sum is at most
-    2896 * 2**(b-10) in magnitude, inside the unclamped 4 * 2**b - 1.
+    Stages 2, 3 and 4 gather at the last stage's sums, offset in place onto
+    tables over the stage-1 reach of the kept rows ([-1444, 2888] at b=10 for
+    all), the all-pass stage-2 reach, which holds every mask's ([-1536, 2048]),
+    and |sum| <= 2**(b-2), clipped, as a larger |sum| saturates. Pixels are
+    clip(sum << (10 - b), 0, ((2**b - 1) << (10 - b)) >> 2). Only inverse sums
+    count clamps, |sum| > 2**(b-2) - 1: no forward |sum| passes 2896 * 2**(b-10).
     """
     rows, cols = mask.kept_rows, mask.kept_cols
     if not rows:
         return np.zeros(band.shape, dtype=np.uint8), 0
-    bias = N << b
-    forward, inverse = _saturation(b, False)[0], _product_rows(b, True, _ALL)
-    post, bound = _saturation(b, True)
+    second, lo2 = _stage_rows(b, 2, rows, cols)
+    (third, lo3), (fourth, lo4) = _stage_rows(b, 3), _stage_rows(b, 4)
     # pixel [r, i, c, j] of the band is sample i of the vector [j, r, c]
     acc = _stage(band.reshape(-1, N, band.shape[1] // N, N).transpose(1, 3, 0, 2),
-                 _pixel_rows(b, rows), _ALL)  # [j, r, c, row k]
-    acc += bias
-    acc = _stage(forward.take(acc[..., :len(rows)]),
-                 _product_rows(b, False, cols), _ALL)  # [r, c, k, column l]
-    acc += bias
-    x = forward.take(acc[..., :len(cols)].transpose(3, 2, 0, 1))  # [l, k, r, c]
-    if not mask.kept_block.all():  # a zeroed coefficient is the sample 0
-        np.copyto(x, (1 << b) - 1, where=mask.kept_block.T[..., None, None] == 0)
-    acc = _stage(x, inverse, cols)  # [k, r, c, pixel column j]
-    acc += bias
-    clamps = np.count_nonzero(acc < bias - bound) + np.count_nonzero(acc > bias + bound)
-    acc = _stage(post.take(acc), inverse, rows)  # [r, c, j, pixel row i]
-    acc += bias
-    clamps += np.count_nonzero(acc < bias - bound) + np.count_nonzero(acc > bias + bound)
-    pixels = _saturation(b, True, pixels=True)[0].take(acc.transpose(0, 3, 1, 2))
-    return pixels.reshape(band.shape), int(clamps)
+                 _stage_rows(b, 1, rows)[0], _ALL)  # [j, r, c, row k]
+    acc -= lo2
+    acc = _stage(acc[..., :len(rows)], second, _ALL)  # [r, c, k, column l]
+    acc -= lo3
+    x = acc[..., :len(cols)].transpose(3, 2, 0, 1)  # [l, k, r, c]
+    if not mask.kept_block.all():  # a zeroed coefficient is the sum 0
+        np.copyto(x, -lo3, where=mask.kept_block.T[..., None, None] == 0)
+    acc = _stage(x, third, cols)  # [k, r, c, pixel column j]
+    clamps = _clamps(acc, b)
+    acc -= lo4
+    acc = _stage(acc, fourth, rows)  # [r, c, j, pixel row i]
+    clamps += _clamps(acc, b)
+    pixels = _to_pixels(acc, b).transpose(0, 3, 1, 2).astype(np.uint8)
+    return pixels.reshape(band.shape), clamps
 
 
 def _reference_band(band: np.ndarray, mask: FrequencyMask, work=None) -> np.ndarray:
@@ -315,7 +314,8 @@ def _reference_band(band: np.ndarray, mask: FrequencyMask, work=None) -> np.ndar
     np.copyto(raster, band.reshape(-1, N, band.shape[1]).swapaxes(0, 1))
     np.matmul(c, x, out=y)
     np.matmul(y.reshape(-1, N), _BASIS_T, out=x.reshape(-1, N))
-    x.reshape(N, -1, N)[...] *= mask.m.astype(np.float64)[:, None, :]
+    if not mask.m.all():  # x 1.0 is exact: all-pass skips it
+        x.reshape(N, -1, N)[...] *= mask.m.astype(np.float64)[:, None, :]
     np.matmul(_BASIS_T, x, out=y)
     np.matmul(y.reshape(-1, N), c, out=x.reshape(-1, N))
     # negatives clip to 0 and the cast truncates, so x + 0.5 rounds half away from zero

@@ -526,8 +526,9 @@ class TestVerifyMul:
 
 
 X_MASK = "10000001\n01000010\n00100100\n00011000\n00011000\n00100100\n01000010\n10000001\n"
-# (height, width): ragged both ways, one block row, and 3 bands with a short last one
-STREAM_SIZES = [(13, 77), (8, 4096), (300, 250)]
+# (height, width): ragged both ways, one block row, 2 bands with a short last one, one
+# block row as wide as a band, and 3 bands with a short last one
+STREAM_SIZES = [(13, 77), (8, 4096), (300, 250), (8, 8192), (601, 250)]
 
 
 class TestStreamedImages:
@@ -585,9 +586,11 @@ class TestStreamedImages:
         assert capsys.readouterr().out == want
 
     def test_sizes_cover_the_band_cases(self):
-        assert STREAM_SIZES[1][0] == _band_rows(STREAM_SIZES[1][1]) == 8  # one band
-        (h, w), rows = STREAM_SIZES[2], _band_rows(STREAM_SIZES[2][1])
-        assert h // rows >= 2 and h % rows and h % 8 and w % 8  # 3+ bands, ragged
+        assert STREAM_SIZES[1][0] == 8 < _band_rows(STREAM_SIZES[1][1])  # part of one band
+        assert STREAM_SIZES[3][0] == _band_rows(STREAM_SIZES[3][1]) == 8  # one band
+        for (h, w), bands in ((STREAM_SIZES[2], 2), (STREAM_SIZES[4], 3)):
+            rows = _band_rows(w)
+            assert h // rows == bands - 1 and h % rows and h % 8 and w % 8  # ragged
 
     def test_in_place(self, tmp_path, capsys):
         _, src = self._image(tmp_path, STREAM_SIZES[2])
@@ -626,7 +629,7 @@ class TestStreamedImages:
 
     @pytest.mark.parametrize("command", ["compress", "sweep"])
     def test_memory_does_not_grow_with_height(self, tmp_path, capsys, command):
-        # a 256-wide band holds 128 rows; 2048 rows are 16 bands. The peak stays
+        # a 256-wide band holds 256 rows; 2048 rows are 8 bands. The peak stays
         # at a few bands' worth, where whole images would add 3 to 6 times 512 KiB
         peaks = []
         for h in (256, 2048):

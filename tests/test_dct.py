@@ -21,15 +21,16 @@ from arsc.dct import (
     PipelineReport,
     WidthReport,
     _bands,
+    _clamps,
     _fixed_band,
     _pad,
-    _pixel_rows,
     _product_rows,
     _psnr_db,
     _reference_band,
-    _saturation,
     _sse,
     _stage,
+    _stage_rows,
+    _to_pixels,
     band_pass,
     dct1d_ref,
     dct_basis,
@@ -551,17 +552,29 @@ _ALL = tuple(range(N))
 
 
 def _stage_samples(x, b, inverse, lanes=_ALL, outs=_ALL):
-    """One 1D stage on the engine's kernel and tables: x[p, ...] are the signed
-    b-bit samples on lane lanes[p], zero on the other lanes. Returns (samples
-    [..., q] of output outs[q], their clamp count), counted forward too."""
+    """One 1D stage on the engine's kernel and product rows: x[p, ...] are the
+    signed b-bit samples on lane lanes[p], zero on the other lanes. Returns
+    (samples [..., q] of output outs[q], their clamp count), counted forward too."""
     offset = (1 << b) - 1
     sums = _stage(np.asarray(x, dtype=np.intp) + offset, _product_rows(b, inverse, outs), lanes)
     assert sums.dtype == np.int16
-    post, bound = _saturation(b, inverse)
-    idx = np.take(post, sums[..., :len(outs)] + (N << b))
-    assert idx.dtype == np.intp
-    clamps = np.count_nonzero(sums < -bound) + np.count_nonzero(sums > bound)
-    return (idx - offset).astype(np.int16), int(clamps)
+    sv, clamped = _saturated(sums[..., :len(outs)], b, inverse)
+    return sv.astype(np.int16), int(np.count_nonzero(clamped))
+
+
+def _reach(table):
+    """Lowest and highest sum, over any output, of one product row per lane of a
+    table [lane, row]: the sum over lanes of each lane's lowest and highest product."""
+    p = table.view(np.int16)  # [lane, row, output]
+    return int(p.min(axis=1).sum(axis=0).min()), int(p.max(axis=1).sum(axis=0).max())
+
+
+def _saturated(acc, b, up):
+    """The sample each stage sum of acc saturates to, sign(acc) * min(|acc| << 2
+    if up else |acc| >> 2, 2**b - 1), and where the minimum clamps."""
+    acc = np.asarray(acc, dtype=np.int64)
+    mag = np.abs(acc) << INTER_STAGE_SHIFT if up else np.abs(acc) >> INTER_STAGE_SHIFT
+    return np.sign(acc) * np.minimum(mag, (1 << b) - 1), mag > (1 << b) - 1
 
 
 def _transform2d(x, b, inverse):
@@ -715,23 +728,31 @@ class TestPrunedEngineOracle:
 
     @pytest.mark.parametrize("bits", BITWIDTHS)
     def test_biased_sums_index_the_tables(self, bits, monkeypatch):
-        # _fixed_band biases each stage's int16 sums by 8 * 2**b before it looks
-        # them up: on full-swing blocks, under every mask, each biased sum must
-        # index a table of 16 * 2**b + 1 entries
-        sums, stage = [], arsc.dct._stage
+        # _fixed_band offsets each stage's int16 sums in place before the next
+        # stage gathers at them: on full-swing blocks, under every mask, stages
+        # 2 and 3 must index inside their tables, which clip no lookup; stage 3
+        # reads the one all-pass table of the width and stage 4 the clipped one
+        # (test_saturation_tables_take_every_signed_sum checks lookups past it)
+        calls, stage = [], arsc.dct._stage
 
-        def recording(*args):
-            acc = stage(*args)
-            sums.append(acc.copy())
+        def recording(idx, rows, lanes):
+            acc = stage(idx, rows, lanes)
+            assert acc.dtype == np.int16
+            calls.append((np.array(idx, dtype=np.int64), rows))
             return acc
 
         monkeypatch.setattr(arsc.dct, "_stage", recording)
         for mask in PRUNING_MASKS.values():
             _fixed_blocks(SWING_BLOCKS, bits, mask)
-        assert len(sums) == 4 * (len(PRUNING_MASKS) - 1)  # the zero mask runs no stage
-        for acc in sums:
-            assert acc.dtype == np.int16
-            assert 0 <= int(acc.min()) + (N << bits) and int(acc.max()) + (N << bits) <= 16 << bits
+        assert len(calls) == 4 * (len(PRUNING_MASKS) - 1)  # the zero mask runs no stage
+        q = 1 << (bits - 2)
+        for k, (idx, rows) in enumerate(calls):
+            if k % 4 in (1, 2):
+                assert 0 <= idx.min() and idx.max() < rows.shape[1], k
+            if k % 4 == 2:
+                assert rows is _stage_rows(bits, 3)[0]
+            if k % 4 == 3:
+                assert rows is _stage_rows(bits, 4)[0] and rows.shape[1] == 2 * q + 1
 
     def test_stage3_witness(self):
         # Keep only row 0, at columns S. In float, stage 3's output at pixel column j
@@ -775,7 +796,7 @@ class TestPrunedEngineOracle:
         stage3, _ = _stage_samples((f * mask.m).transpose(2, 1, 0), bits, inverse=True)
         sums = _stage(stage3.astype(np.intp) + (1 << bits) - 1,
                       _product_rows(bits, True, _ALL), _ALL)
-        bound = _saturation(bits, True)[1]
+        bound = (1 << (bits - 2)) - 1
         assert sums.min() == -bound and np.count_nonzero(sums == -bound) == 1
         scalar, _ = _scalar_pipeline(block, AccuracySelect.from_bitwidth(bits), mask)
         rep = process_image(GrayImage(block), AccuracySelect.from_bitwidth(bits), mask)
@@ -813,7 +834,8 @@ class TestProductTables:
             assert np.array_equal(products[..., :len(outs)], want[..., outs]), outs
             assert not products[..., len(outs):].any(), outs
             if not inverse:
-                by_pixel = _pixel_rows(b, outs)
+                by_pixel, lo = _stage_rows(b, 1, outs)
+                assert lo == 0, outs
                 assert by_pixel.shape == (N, 256, 1) and by_pixel.dtype == rows.dtype, outs
                 assert not by_pixel.flags.writeable, outs
                 assert np.array_equal(by_pixel.view(np.int16)[..., :len(outs)],
@@ -821,26 +843,73 @@ class TestProductTables:
 
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_saturation_tables_take_every_signed_sum(self, b):
-        # a stage sum lies in [-8 * 2**b, 8 * 2**b] and indexes the table biased by
-        # 8 * 2**b: entry 0 is the sum -8 * 2**b, never the sum 0
-        acc = np.arange(-N << b, (N << b) + 1)
+        # stages 2 to 4 gather at the last stage's sum acc less lo: row acc - lo
+        # is _product_rows at the sample acc saturates to, for every acc in the
+        # table's span, and a clip-mode lookup past stage 4's span saturates, for
+        # every sum in [-8 * 2**b, 8 * 2**b]
         top = (1 << b) - 1
-        for inverse in (False, True):
-            mag = np.abs(acc) << 2 if inverse else np.abs(acc) >> 2
-            sv = np.sign(acc) * np.minimum(mag, top)
-            table, bound = _saturation(b, inverse)
-            assert table.dtype == np.intp and not table.flags.writeable
-            assert len(table) == (16 << b) + 1
-            assert (table[0], table[N << b]) == (0, top)  # samples -top and 0
-            assert np.array_equal(np.take(table, acc + (N << b)), sv + top)
-            assert bound == np.abs(acc[mag <= top]).max()
-        pixels = _saturation(b, True, pixels=True)[0]
-        assert pixels.dtype == np.uint8 and not pixels.flags.writeable
-        assert len(pixels) == (16 << b) + 1
-        # a pixel is the 10-bit sample over 4, rounded half away from zero
-        raw = (np.sign(acc) * np.minimum(np.abs(acc) << 2, top)) << (SAMPLE_WIDTH - b)
-        want = np.clip(np.sign(raw) * ((np.abs(raw) + 2) >> 2), 0, 255)
-        assert np.array_equal(np.take(pixels, acc + (N << b)), want)
+        third, lo3 = _stage_rows(b, 3)
+        for name, mask in PRUNING_MASKS.items():
+            rows, cols = mask.kept_rows, mask.kept_cols
+            if not rows:
+                continue
+            second, lo2 = _stage_rows(b, 2, rows, cols)
+            for table, lo, products in ((second, lo2, _product_rows(b, False, cols)),
+                                        (third, lo3, _product_rows(b, True, _ALL))):
+                assert not table.flags.writeable and table.dtype == products.dtype, name
+                acc = np.arange(lo, lo + table.shape[1])
+                want = products[:, _saturated(acc, b, False)[0] + top]
+                assert np.array_equal(table.view(np.int16), want.view(np.int16)), name
+            # the span is the stage-1 reach of the kept rows
+            assert (lo2, lo2 + second.shape[1] - 1) == _reach(_stage_rows(b, 1, rows)[0]), name
+        # stage 3's is the all-pass stage-2 reach
+        assert (lo3, lo3 + third.shape[1] - 1) == _reach(_stage_rows(b, 2)[0])
+        if b == 10:  # the spans the docs give
+            assert _stage_rows(b, 2)[1] == -1444 and _stage_rows(b, 2)[0].shape[1] == 4333
+            assert (lo3, third.shape[1]) == (-1536, 3585)
+        q = 1 << (b - 2)
+        table, lo = _stage_rows(b, 4)
+        assert lo == -q and table.shape == (N, 2 * q + 1, 1) and not table.flags.writeable
+        acc = np.arange(-N << b, (N << b) + 1)
+        want = _product_rows(b, True, _ALL)[:, _saturated(acc, b, True)[0] + top].view(np.int16)
+        # through the engine's kernel, one lane at a time
+        got = np.stack([_stage((acc - lo)[None], table, (lane,)) for lane in range(N)])
+        assert np.array_equal(got, want)
+        assert (got[:, :(N << b) - q + 1] == table[:, :1].view(np.int16)).all()  # -top
+        assert (got[:, (N << b) + q:] == table[:, -1:].view(np.int16)).all()  # top
+        # a pixel is the 10-bit sample over 4, rounded half away from zero, as the
+        # old per-sum table held it: clip((sample << (10 - b)) >> 2, 0, 255)
+        raw = _saturated(acc, b, True)[0] << (SAMPLE_WIDTH - b)
+        pixels = _to_pixels(acc.astype(np.int16), b)
+        assert np.array_equal(pixels, np.clip(raw >> PIXEL_SHIFT, 0, 255))
+        assert np.array_equal(pixels, np.clip(np.sign(raw) * ((np.abs(raw) + 2) >> 2), 0, 255))
+        assert pixels.max() == (top << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT
+
+    def test_tables_fit_in_3_mib(self, monkeypatch):
+        # the distinct tables _fixed_band reads for the benchmark's two masks at
+        # every width: the stage-2 tables per mask, the rest shared by both
+        tables, stage = {}, arsc.dct._stage
+
+        def recording(idx, rows, lanes):
+            tables[id(rows)] = rows
+            return stage(idx, rows, lanes)
+
+        monkeypatch.setattr(arsc.dct, "_stage", recording)
+        block = np.zeros((N, N), dtype=np.uint8)
+        for mask in (FrequencyMask.lowpass(4), FrequencyMask.allpass()):
+            for b in BITWIDTHS:
+                _fixed_band(block, b, mask)
+        assert len(tables) == 2 * 4 * len(BITWIDTHS) - 2 * len(BITWIDTHS)
+        assert sum(t.nbytes for t in tables.values()) <= 3 << 20
+
+    @pytest.mark.parametrize("b", BITWIDTHS)
+    def test_clamps_at_both_bounds(self, b):
+        # an inverse sum clamps once |sum| << 2 passes 2**b - 1
+        bound = (1 << (b - 2)) - 1
+        acc = np.array([-bound - 1, -bound, bound, bound + 1], dtype=np.int16)
+        assert [_clamps(acc[k:k + 1], b) for k in range(4)] == [1, 0, 0, 1]
+        assert _clamps(acc, b) == 2
+        assert _clamps(np.arange(-N << b, (N << b) + 1, dtype=np.int16), b) == (16 << b) - 2 * bound
 
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_products_err_by_bit_plane_terms(self, b):
@@ -867,8 +936,11 @@ class TestProductTables:
         for inverse, bound in ((False, (4 << b) - 1), (True, (1 << (b - 2)) - 1)):
             rows = _product_rows(b, inverse, _ALL)
             worst = int(np.abs(rows.view(np.int16)).max(axis=1).sum(axis=0).max())
-            assert _saturation(b, inverse)[1] == bound
+            acc = np.arange(-N << b, (N << b) + 1)
+            clamped = _saturated(acc, b, inverse)[1]
+            assert np.abs(acc[~clamped]).max() == bound and np.abs(acc[clamped]).min() == bound + 1
             assert (worst > bound) == inverse, (worst, bound)
+        assert _clamps(acc.astype(np.int16), b) == np.count_nonzero(clamped)
 
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("b", [6, 10])
@@ -976,12 +1048,12 @@ class TestBands:
     @pytest.mark.parametrize("mask", [FrequencyMask.allpass(), FrequencyMask.lowpass(4),
                                       PRUNING_MASKS["hole"]], ids=["allpass", "lowpass:4", "hole"])
     def test_narrow_images(self, mask):
-        # one block column or row; 4100 rows cross a band edge. A float band built
+        # one block column or row; 8200 rows cross a band edge. A float band built
         # with astype would keep the band's transposed layout, and the reference's
         # last product would write into a copy
-        assert N * arsc.dct.CHUNK_BLOCKS < 4100
+        assert N * arsc.dct.CHUNK_BLOCKS < 8200
         rng = np.random.default_rng(17)
-        for shape in [(16, 8), (8, 16), (1000, 5), (5, 1000), (4100, 8)]:
+        for shape in [(16, 8), (8, 16), (1000, 5), (5, 1000), (8200, 8)]:
             pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
             pixels[:, ::3] = rng.integers(0, 2, size=pixels[:, ::3].shape) * 255  # full swing
             ref = _assert_dense_reports(pixels, mask, _all_widths(pixels, mask))
