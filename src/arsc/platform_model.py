@@ -37,10 +37,8 @@ FPGA_TABLE = (
     (6, 7.1, 0.077, 0.012),
 )
 
-# Aged maximum clock, (years, MHz): FPGA emulation and the ASIC synthesis
-# of the same design under a degradation-aware cell library.
+# Aged maximum clock of the FPGA emulation, (years, MHz).
 FPGA_AGING_ANCHORS = ((0.0, 85.7), (10.0, 75.7))
-ASIC_AGING_ANCHORS = ((0.0, 1205.0), (10.0, 1064.0))
 
 _RESIDUAL_BOUND = 0.05
 

@@ -11,7 +11,7 @@ down-counter runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class UnsignedFixed:
             raise ValueError(
                 f"raw {self.raw} out of range for {self.width}-bit magnitude"
             )
-
-    @property
-    def value(self) -> float:
-        return self.raw / (1 << self.width)
 
 
 @dataclass(frozen=True)
@@ -146,30 +142,9 @@ class BitStream:
         if not 0 <= self.word < (1 << self.length):
             raise ValueError("stream word has bits beyond the stated length")
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitStream":
-        bits = tuple(bits)
-        word = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit {i} is {b}, expected 0 or 1")
-            word |= b << i
-        return cls(len(bits), word)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.word >> i) & 1 for i in range(self.length))
-
     @property
     def popcount(self) -> int:
         return self.word.bit_count()
-
-    @property
-    def value(self) -> float:
-        return self.popcount / self.length
-
-    def __len__(self) -> int:
-        return self.length
 
 
 def sng_conventional(x: UnsignedFixed, length: int, cfg: LfsrConfig) -> BitStream:

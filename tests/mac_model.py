@@ -39,7 +39,7 @@ class SignMagnitude:
 
     @property
     def value(self) -> float:
-        return self.sign * self.mag.value
+        return self.sign * (self.mag.raw / (1 << self.mag.width))
 
     @classmethod
     def from_float(cls, v: float, width: int = 10) -> "SignMagnitude":

@@ -685,6 +685,22 @@ def _fixed_blocks(blocks, b, mask):
     return out.reshape(rows, N, -1, N).swapaxes(1, 2).reshape(blocks.shape), clamps
 
 
+def _pixel_kernel(mask, i, j):
+    """The float 2D operator of the mask at pixel (i, j): output (i, j) is the sum
+    of the block times this (8, 8) kernel."""
+    c = dct_basis()
+    return np.einsum("kl,k,l,ki,lj->ij", mask.m, c[:, i], c[:, j], c, c)
+
+
+def _stage4_sums(block, b, mask):
+    """Stage 4's int16 sums of one (8, 8) pixel block at width b under the mask,
+    from the dense stages."""
+    x = (block[None].astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b)
+    f, _ = _transform2d(x, b, inverse=False)
+    stage3, _ = _stage_samples((f * mask.m).transpose(2, 1, 0), b, inverse=True)
+    return _stage(stage3.astype(np.intp) + (1 << b) - 1, _product_rows(b, True, _ALL), _ALL)
+
+
 class TestPrunedEngineOracle:
     """_fixed_band, which runs only what the mask keeps, against the dense
     stage composition and the scalar MAC path."""
@@ -787,21 +803,38 @@ class TestPrunedEngineOracle:
         # sum to exactly -bound, the largest magnitude that is not a clamp.
         rows = "01111101 11100100 10110101 00010101 11011010 01000110 11100110 11111100"
         mask = FrequencyMask([[int(c) for c in row] for row in rows.split()])
-        c = dct_basis()
-        kernel = np.einsum("kl,k,l,ki,lj->ij", mask.m, c[:, 3], c[:, 2], c, c)
+        kernel = _pixel_kernel(mask, 3, 2)
         assert round(float(kernel[kernel < 0].sum()), 2) == -2.02
         block = np.where(kernel < 0, v, 0).astype(np.uint8)
-        x = (block[None].astype(np.int16) << PIXEL_SHIFT) >> (SAMPLE_WIDTH - bits)
-        f, _ = _transform2d(x, bits, inverse=False)
-        stage3, _ = _stage_samples((f * mask.m).transpose(2, 1, 0), bits, inverse=True)
-        sums = _stage(stage3.astype(np.intp) + (1 << bits) - 1,
-                      _product_rows(bits, True, _ALL), _ALL)
+        sums = _stage4_sums(block, bits, mask)
         bound = (1 << (bits - 2)) - 1
         assert sums.min() == -bound and np.count_nonzero(sums == -bound) == 1
         scalar, _ = _scalar_pipeline(block, AccuracySelect.from_bitwidth(bits), mask)
         rep = process_image(GrayImage(block), AccuracySelect.from_bitwidth(bits), mask)
         assert np.array_equal(rep.output.pixels, scalar)
         assert rep.clamp_count == sum(mac_clamps) == 0
+
+    @pytest.mark.parametrize("bits,pixel,at_bound,past_bound", [
+        (10, (1, 3), 174, 175), (9, (0, 2), 155, 157), (8, (0, 2), 154, 158),
+        (7, (0, 2), 156, 164), (6, (0, 0), 176, 192)])
+    def test_stage4_positive_witness(self, bits, pixel, at_bound, past_bound, mac_clamps):
+        # lowpass:4 rings: the positive entries of its float 2D operator's kernel at
+        # `pixel` sum to 1.39-1.73. The block that is v on them and 0 elsewhere drives
+        # one stage-4 sum to exactly +bound at v = at_bound, with no clamp, and to
+        # bound + 1 = 2**(b-2) at v = past_bound, the block's one clamp.
+        mask, sel = FrequencyMask.lowpass(4), AccuracySelect.from_bitwidth(bits)
+        kernel = _pixel_kernel(mask, *pixel)
+        assert np.abs(kernel).min() > 1e-4  # every entry's sign is clear of rounding
+        bound = (1 << (bits - 2)) - 1
+        for v, top, clamps in ((at_bound, bound, 0), (past_bound, bound + 1, 1)):
+            block = np.where(kernel > 0, v, 0).astype(np.uint8)
+            sums = _stage4_sums(block, bits, mask)
+            assert sums.max() == top and np.count_nonzero(sums >= bound) == 1, v
+            mac_clamps.clear()
+            scalar, _ = _scalar_pipeline(block, sel, mask)
+            rep = process_image(GrayImage(block), sel, mask)
+            assert np.array_equal(rep.output.pixels, scalar), v
+            assert rep.clamp_count == sum(mac_clamps) == clamps, v
 
 
 # output sets of a stage, of every padded row width

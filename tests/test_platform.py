@@ -6,7 +6,6 @@ import pytest
 import arsc.platform_model
 from arsc.platform_model import (
     AgingSchedule,
-    ASIC_AGING_ANCHORS,
     CalibrationError,
     CycleModel,
     FPGA_AGING_ANCHORS,
@@ -154,11 +153,6 @@ class TestAging:
             frequency_at_year(schedule, -1.0)
         with pytest.raises(ValueError):
             frequency_at_year(schedule, 10.5)
-
-    def test_asic_anchors(self):
-        s = AgingSchedule(ASIC_AGING_ANCHORS)
-        assert frequency_at_year(s, 0.0) == 1205.0
-        assert frequency_at_year(s, 10.0) == 1064.0
 
     def test_anchor_validation(self):
         with pytest.raises(ValueError):

@@ -91,21 +91,13 @@ class TestLfsr:
             LfsrConfig(4, seed=16)
 
 
+# bit i of a stream is bit i of its word, so a word literal lists the bits last first
 class TestBitStream:
-    def test_round_trip_bits(self):
-        s = BitStream.from_bits((1, 0, 1, 1))
-        assert s.bits == (1, 0, 1, 1)
-        assert s.popcount == 3
-        assert len(s) == 4
-
     def test_length_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             BitStream(3, 0)
         with pytest.raises(ValueError):
-            BitStream.from_bits((1, 0, 1))
-
-    def test_values(self):
-        assert BitStream.from_bits((1, 0, 1, 1)).value == 0.75
+            BitStream(1, 0)
 
 
 class TestConventionalSng:
@@ -117,7 +109,7 @@ class TestConventionalSng:
         # seed-1 states are 1..7 plus one wrap; 0 never appears so the
         # comparator misses only the single state equal to 2**n - 1
         s = sng_conventional(UnsignedFixed(3, 7), 8, LfsrConfig(3))
-        assert s.bits == (1, 1, 1, 1, 0, 1, 1, 1)
+        assert s.word == 0b11101111
         assert s.popcount == 7
 
     def test_fixed_seed_mid_value(self):
@@ -138,10 +130,10 @@ class TestConventionalSng:
 
 class TestDeterministicSng:
     def test_placement_example_n3(self):
-        assert sng_deterministic(UnsignedFixed(3, 5)).bits == (1, 0, 1, 1, 1, 0, 1, 0)
+        assert sng_deterministic(UnsignedFixed(3, 5)).word == 0b01011101
 
     def test_placement_example_n2(self):
-        assert sng_deterministic(UnsignedFixed(2, 3)).bits == (1, 1, 1, 0)
+        assert sng_deterministic(UnsignedFixed(2, 3)).word == 0b0111
 
     def test_zero(self):
         assert sng_deterministic(UnsignedFixed(4, 0)).word == 0
@@ -177,7 +169,7 @@ class TestUnaryGen:
     def test_shapes(self):
         assert unary_gen(0, 8).word == 0
         assert unary_gen(8, 8).word == 0xFF
-        assert unary_gen(3, 8).bits == (1, 1, 1, 0, 0, 0, 0, 0)
+        assert unary_gen(3, 8).word == 0b00000111
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -188,25 +180,25 @@ class TestUnaryGen:
 
 class TestGates:
     def test_and_identity_and_annihilator(self):
-        a = BitStream.from_bits((1, 0, 1, 0))
-        ones = BitStream.from_bits((1, 1, 1, 1))
-        zeros = BitStream.from_bits((0, 0, 0, 0))
+        a = BitStream(4, 0b0101)
+        ones = BitStream(4, 0b1111)
+        zeros = BitStream(4, 0)
         assert and_multiply(a, ones) == a
         assert and_multiply(a, zeros) == zeros
 
     def test_and_example(self):
-        a = BitStream.from_bits((1, 0, 1, 0))
-        b = BitStream.from_bits((1, 1, 0, 0))
-        assert and_multiply(a, b).bits == (1, 0, 0, 0)
+        a = BitStream(4, 0b0101)
+        b = BitStream(4, 0b0011)
+        assert and_multiply(a, b).word == 0b0001
 
     def test_and_errors(self):
-        a = BitStream.from_bits((1, 0))
+        a = BitStream(2, 0b01)
         with pytest.raises(ValueError):
-            and_multiply(a, BitStream.from_bits((1, 0, 1, 0)))
+            and_multiply(a, BitStream(4, 0b0101))
 
     def test_counter_readout(self):
-        assert stream_to_binary(BitStream.from_bits((1, 0, 1, 1))) == 3
-        assert stream_to_binary(BitStream.from_bits((0, 0, 0, 0))) == 0
+        assert stream_to_binary(BitStream(4, 0b1101)) == 3
+        assert stream_to_binary(BitStream(4, 0)) == 0
 
 
 class TestCbscMultiply:
