@@ -12,7 +12,9 @@ last stage's sum offset in place, and folds in the saturation between
 stages; stage 4's sums become pixels by exact arithmetic. Stages run only the
 coefficient rows and columns holding a kept one of the frequency mask, and
 only inverse sums count clamps (see _fixed_band). A float64 path of the same
-structure, one GEMM per matrix product, is the accuracy reference.
+structure, one GEMM per matrix product over a piece of whole block rows, is the
+accuracy reference; with every coefficient kept it returns its input, so an
+all-pass band_pass runs none.
 Every 1D stage output is scaled by 1/4 before buffering (and re-amplified by
 4 in the inverse stages) so that all multiplier operands stay inside [0, 1);
 the net gain is exactly 1.
@@ -118,7 +120,8 @@ _TRANSFORM_SLOTS = 2 * N * N * N
 _ALL = tuple(range(N))  # every lane or output of a stage
 _ROW_TYPES = {1: np.int16, 2: np.int32, 4: np.int64, 8: np.complex128}  # by products per row
 # blocks per band of whole block rows: ≈0.6 KB of fixed-point temporaries per block
-# (allpass), 1 KB of float scratch. 1024 beat 512 with both masks at 256² and 1024²
+# (allpass), 0.5 KB of float scratch (the reference runs in half bands). 1024 beat 512
+# with both masks at 256² and 1024²
 CHUNK_BLOCKS = 1024
 
 
@@ -304,23 +307,31 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
 
 
 def _reference_band(band: np.ndarray, mask: FrequencyMask, work=None) -> np.ndarray:
-    """Float64 pipeline of a padded raster band: its pixels. `work`, at least
-    2 * band.size float64s, is scratch for the products (see band_pass)."""
-    c = dct_basis()
-    # x and y take turns as the input and the output of one GEMM per product over
-    # [row, block, column]; p/256 is exact, so left out
-    x, y = (np.empty(2 * band.size) if work is None else work[:2 * band.size]).reshape(2, N, -1)
-    raster = x.reshape(N, -1, band.shape[1])  # [pixel row of a block, block row, column]
-    np.copyto(raster, band.reshape(-1, N, band.shape[1]).swapaxes(0, 1))
-    np.matmul(c, x, out=y)
-    np.matmul(y.reshape(-1, N), _BASIS_T, out=x.reshape(-1, N))
-    if not mask.m.all():  # x 1.0 is exact: all-pass skips it
-        x.reshape(N, -1, N)[...] *= mask.m.astype(np.float64)[:, None, :]
-    np.matmul(_BASIS_T, x, out=y)
-    np.matmul(y.reshape(-1, N), c, out=x.reshape(-1, N))
-    # negatives clip to 0 and the cast truncates, so x + 0.5 rounds half away from zero
-    np.clip(np.add(x, 0.5, out=x), 0, 255, out=x)
-    return raster.swapaxes(0, 1).astype(np.uint8, order="C").reshape(band.shape)
+    """Float64 pipeline of a padded raster band: its pixels. It runs over pieces of as
+    many whole block rows as `work`, float64 scratch for the products (see band_pass),
+    holds twice over, or over the whole band at once if no `work` is given."""
+    c, m = dct_basis(), mask.m.astype(np.float64)[:, None, :]
+    width = band.shape[1]
+    work = np.empty(2 * band.size) if work is None else work
+    rows = work.size // (2 * N * width) * N
+    out = np.empty_like(band)
+    for top in range(0, len(band), rows):
+        piece = band[top:top + rows]
+        # x and y take turns as the input and the output of one GEMM per product over
+        # [row, block, column]; p/256 is exact, so left out
+        x, y = work[:2 * piece.size].reshape(2, N, -1)
+        raster = x.reshape(N, -1, width)  # [pixel row of a block, block row, column]
+        np.copyto(raster, piece.reshape(-1, N, width).swapaxes(0, 1))
+        np.matmul(c, x, out=y)
+        np.matmul(y.reshape(-1, N), _BASIS_T, out=x.reshape(-1, N))
+        x.reshape(N, -1, N)[...] *= m
+        np.matmul(_BASIS_T, x, out=y)
+        np.matmul(y.reshape(-1, N), c, out=x.reshape(-1, N))
+        # negatives clip to 0 and the cast truncates, so x + 0.5 rounds half away from zero
+        np.clip(np.add(x, 0.5, out=x), 0, 255, out=x)
+        np.copyto(out[top:top + rows].reshape(-1, N, width).swapaxes(0, 1), raster,
+                  casting="unsafe")
+    return out
 
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
@@ -336,21 +347,28 @@ def band_pass(width: int, bands, widths, mask: FrequencyMask, sink=None) -> list
     contract); the pass picks the rows. Each band is edge-padded to 8x8 blocks and run
     through the float reference once, then through the fixed-point pipeline at each
     width, whose output rows from image row y go to sink(k, y, rows) (k indexes
-    `widths`) if given, valid only during the call."""
-    h, work = 0, None
+    `widths`) if given, valid only during the call. With every coefficient kept, the
+    float pipeline returns its input (|error| < 1e-12 against 0.5), so all-pass runs
+    no reference and its SSE against the reference is the SSE against the input."""
+    h, work, allpass = 0, None, bool(mask.m.all())
     totals = np.zeros((len(widths), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
     for band in bands(_band_rows(width)):
         padded = _pad(band)
-        # one float64 scratch for the pass, sized by the first and largest band: a new
-        # one per band would be handed back to the system by malloc and faulted back in
-        work = np.empty(2 * padded.size) if work is None else work
-        ref = _reference_band(padded, mask, work)[:len(band), :width]
+        if not allpass:
+            if work is None:
+                # one float64 scratch for the pass: two halves of the first and largest
+                # band, the reference's pieces (halves took no longer than whole bands,
+                # quarters 1 to 4 % longer). A new one per band would be handed back to
+                # the system by malloc and faulted back in
+                work = np.empty(2 * N * -(-len(padded) // (2 * N)) * padded.shape[1])
+            ref = _reference_band(padded, mask, work)[:len(band), :width]
         for k, b in enumerate(widths):
             pixels, count = _fixed_band(padded, b, mask)
             got = pixels[:len(band), :width]
             if sink:
                 sink(k, h, got)
-            totals[k] += count, _sse(got, band), _sse(got, ref)
+            sse = _sse(got, band)
+            totals[k] += count, sse, sse if allpass else _sse(got, ref)
         h += len(band)
     slots = -(-h // N) * -(-width // N) * 2 * _TRANSFORM_SLOTS  # forward + inverse
     return [WidthReport(b, h * width, (slots << b) // PARALLELISM, *t)

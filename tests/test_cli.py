@@ -102,8 +102,8 @@ def _platform_with(tmp_path, field, value):
 
 def _count_band_work(tmp_path, monkeypatch, argv):
     """Calls of each band step while main runs argv on the 256x256 reference image,
-    and the image's band count."""
-    calls = {"_pad": 0, "_reference_band": 0, "_fixed_band": 0}
+    the image's band count and the WidthReports of its band pass."""
+    calls, reports = {"_pad": 0, "_reference_band": 0, "_fixed_band": 0}, []
 
     def counted(name):
         fn = getattr(arsc.dct, name)
@@ -115,13 +115,19 @@ def _count_band_work(tmp_path, monkeypatch, argv):
 
     for name in calls:
         monkeypatch.setattr(arsc.dct, name, counted(name))
+
+    def recorded(*args):
+        reports.extend(band_pass(*args))
+        return reports
+
+    monkeypatch.setattr(arsc.cli, "band_pass", recorded)
     src = tmp_path / "ref256.pgm"
     write_pgm(reference_image(), src)
     assert main([*argv, "--in", str(src)]) == 0
     # 32 x 32 blocks in bands of whole block rows
     bands = -(-32 // max(1, arsc.dct.CHUNK_BLOCKS // 32))
     assert bands < 5
-    return calls, bands
+    return calls, bands, reports
 
 
 class TestCompress:
@@ -176,9 +182,17 @@ class TestCompress:
         assert "byte" in capsys.readouterr().err
 
     def test_width_independent_work_runs_once_per_band(self, tmp_path, monkeypatch):
-        calls, bands = _count_band_work(tmp_path, monkeypatch,
-                                        ["compress", "--out", str(tmp_path / "out.pgm")])
+        calls, bands, _ = _count_band_work(tmp_path, monkeypatch,
+                                           ["compress", "--out", str(tmp_path / "out.pgm")])
         assert calls == {"_pad": bands, "_reference_band": bands, "_fixed_band": bands}
+
+    def test_allpass_runs_no_reference(self, tmp_path, monkeypatch):
+        # with every coefficient kept the float reference is the input itself
+        calls, bands, [report] = _count_band_work(
+            tmp_path, monkeypatch,
+            ["compress", "--out", str(tmp_path / "out.pgm"), "--mask", "allpass"])
+        assert calls == {"_pad": bands, "_reference_band": 0, "_fixed_band": bands}
+        assert report.sse_reference == report.sse_input > 0
 
 
 class TestSweep:
@@ -215,8 +229,15 @@ class TestSweep:
         assert all(ln.startswith("warning: ") and "85.7000 MHz base clock" in ln for ln in err)
 
     def test_width_independent_work_runs_once_per_band(self, tmp_path, monkeypatch):
-        calls, bands = _count_band_work(tmp_path, monkeypatch, ["sweep"])
+        calls, bands, _ = _count_band_work(tmp_path, monkeypatch, ["sweep"])
         assert calls == {"_pad": bands, "_reference_band": bands, "_fixed_band": 5 * bands}
+
+    def test_allpass_runs_no_reference(self, tmp_path, monkeypatch):
+        calls, bands, reports = _count_band_work(tmp_path, monkeypatch,
+                                                 ["sweep", "--mask", "allpass"])
+        assert calls == {"_pad": bands, "_reference_band": 0, "_fixed_band": 5 * bands}
+        assert [r.bitwidth for r in reports] == list(BITWIDTHS)
+        assert all(r.sse_reference == r.sse_input > 0 for r in reports)
 
     @pytest.mark.parametrize("target", ["nan", "inf", "0", "-7.19"])
     def test_bad_target_usage_error(self, small_image, target):

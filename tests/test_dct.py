@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -701,6 +702,11 @@ def _stage4_sums(block, b, mask):
     return _stage(stage3.astype(np.intp) + (1 << b) - 1, _product_rows(b, True, _ALL), _ALL)
 
 
+# (bits, pixel, v) of test_stage4_negative_witness
+NEGATIVE_WITNESSES = [(10, (3, 2), 130), (9, (3, 2), 137), (8, (3, 2), 142), (7, (3, 2), 160),
+                      (6, (0, 0), 208)]
+
+
 class TestPrunedEngineOracle:
     """_fixed_band, which runs only what the mask keeps, against the dense
     stage composition and the scalar MAC path."""
@@ -795,16 +801,20 @@ class TestPrunedEngineOracle:
         assert stage3 > 0
 
 
-    @pytest.mark.parametrize("bits,v", [(10, 130), (9, 137), (8, 142), (7, 160)])
-    def test_stage4_negative_witness(self, bits, v, mac_clamps):
+    @pytest.mark.parametrize("bits,pixel,v", NEGATIVE_WITNESSES,
+                             ids=[f"{bits}-{v}" for bits, _, v in NEGATIVE_WITNESSES])
+    def test_stage4_negative_witness(self, bits, pixel, v, mac_clamps):
         # A non-separable mask whose float 2D operator has a negative mass of -2.02
-        # at pixel (3, 2), the most negative of any pixel. The block that is v on
-        # that pixel's negative kernel entries and 0 elsewhere drives one stage-4
-        # sum to exactly -bound, the largest magnitude that is not a clamp.
+        # at pixel (3, 2), the most negative of any pixel, and of -1.93 at (0, 0).
+        # The block that is v on that pixel's negative kernel entries and 0 elsewhere
+        # drives one stage-4 sum to exactly -bound, the largest magnitude that is not
+        # a clamp. At b=6 no v takes (3, 2)'s block to -15 (-13 up to v = 207, -17
+        # from 208), but (0, 0)'s lands one sum on -15 for v = 208..215, none past it.
         rows = "01111101 11100100 10110101 00010101 11011010 01000110 11100110 11111100"
         mask = FrequencyMask([[int(c) for c in row] for row in rows.split()])
-        kernel = _pixel_kernel(mask, 3, 2)
-        assert round(float(kernel[kernel < 0].sum()), 2) == -2.02
+        kernel = _pixel_kernel(mask, *pixel)
+        assert round(float(kernel[kernel < 0].sum()), 2) == {(3, 2): -2.02, (0, 0): -1.93}[pixel]
+        assert np.abs(kernel).min() > 1e-4  # every entry's sign is clear of rounding
         block = np.where(kernel < 0, v, 0).astype(np.uint8)
         sums = _stage4_sums(block, bits, mask)
         bound = (1 << (bits - 2)) - 1
@@ -1119,6 +1129,59 @@ class TestBands:
         got = _pad(pixels)
         assert np.array_equal(got, pixels[np.ix_(rows, cols)])
         assert (got is pixels) == (h % N == 0 and w % N == 0)
+
+
+class TestReferenceBand:
+    """The float reference in pieces of whole block rows, and its all-pass identity,
+    on which band_pass relies to run no reference for an all-pass mask."""
+
+    def test_allpass_returns_the_band(self):
+        # with every coefficient kept, the four GEMMs return the integer input to
+        # within 7e-13 (20,000 random and 0/255 blocks), far inside the 0.5 that
+        # would move a rounded pixel
+        rng = np.random.default_rng(401)
+        images = [reference_image().pixels]
+        for k in range(40):
+            pixels = rng.integers(0, 256, size=rng.integers(1, 150, 2), dtype=np.uint8)
+            images.append(pixels if k % 2 else pixels // 128 * 255)  # odd k: full swing
+        for pixels in images:
+            padded = _pad(pixels)
+            assert np.array_equal(_reference_band(padded, FrequencyMask.allpass()), padded), \
+                pixels.shape
+
+    @pytest.mark.parametrize("mask", [FrequencyMask.lowpass(4), PRUNING_MASKS["hole"]],
+                             ids=["lowpass:4", "hole"])
+    def test_pieces_match_one_piece(self, mask):
+        # scratch for pieces of `rows` rows: pieces that do not divide the band, and
+        # scratch larger than it; each gives the one-piece pixels
+        rng = np.random.default_rng(512)
+        for shape in [(37, 29), (101, 64), (200, 136), (8, 1000)]:
+            pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            pixels[:, ::3] = pixels[:, ::3] // 128 * 255  # full swing
+            padded = _pad(pixels)
+            whole = _reference_band(padded, mask)
+            for rows in (8, 16, 24, 56, len(padded) + 8):
+                work = np.empty(2 * rows * padded.shape[1])
+                assert np.array_equal(_reference_band(padded, mask, work), whole), (shape, rows)
+
+    @pytest.mark.parametrize("mask,mib", [(FrequencyMask.lowpass(4), 1.25),
+                                          (FrequencyMask.allpass(), 0.8)],
+                             ids=["lowpass:4", "allpass"])
+    def test_band_working_set(self, mask, mib):
+        # one warm band_pass over one band of 1024 blocks at every width. The float
+        # scratch holds two half bands (512 KiB), and all-pass runs no reference:
+        # 1.04 and 0.63 MiB, where two whole bands, all-pass included, took 1.54 and
+        # 1.69 MiB
+        pixels = reference_image().pixels
+        assert arsc.dct._band_rows(pixels.shape[1]) == len(pixels)
+        band_pass(pixels.shape[1], _bands(pixels), BITWIDTHS, mask)  # the tables are cached
+        tracemalloc.start()
+        try:
+            band_pass(pixels.shape[1], _bands(pixels), BITWIDTHS, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, peak
 
 
 class TestBandPassRecord:
