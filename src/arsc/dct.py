@@ -12,8 +12,8 @@ last stage's sum offset in place, and folds in the saturation between
 stages; stage 4's sums become pixels by exact arithmetic. Stages run only the
 coefficient rows and columns holding a kept one of the frequency mask, and
 only inverse sums count clamps (see _fixed_band). A float64 path of the same
-structure, one GEMM per matrix product over a piece of whole block rows, is the
-accuracy reference; with every coefficient kept it returns its input, so an
+structure, one GEMM per matrix product over half a band in scratch of its own, is
+the accuracy reference; with every coefficient kept it returns its input, so an
 all-pass band_pass runs none.
 Every 1D stage output is scaled by 1/4 before buffering (and re-amplified by
 4 in the inverse stages) so that all multiplier operands stay inside [0, 1);
@@ -119,8 +119,8 @@ class FrequencyMask:
 _TRANSFORM_SLOTS = 2 * N * N * N
 _ALL = tuple(range(N))  # every lane or output of a stage
 _ROW_TYPES = {1: np.int16, 2: np.int32, 4: np.int64, 8: np.complex128}  # by products per row
-# blocks per band of whole block rows: ≈0.6 KB of fixed-point temporaries per block
-# (allpass), 0.5 KB of float scratch (the reference runs in half bands). 1024 beat 512
+# blocks per band of whole block rows: ≈0.6 KB of fixed-point temporaries per block, and
+# 0.5 KB of float scratch (the reference's half bands) freed before them. 1024 beat 512
 # with both masks at 256² and 1024²
 CHUNK_BLOCKS = 1024
 
@@ -306,14 +306,13 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
     return pixels.reshape(band.shape), clamps
 
 
-def _reference_band(band: np.ndarray, mask: FrequencyMask, work=None) -> np.ndarray:
-    """Float64 pipeline of a padded raster band: its pixels. It runs over pieces of as
-    many whole block rows as `work`, float64 scratch for the products (see band_pass),
-    holds twice over, or over the whole band at once if no `work` is given."""
+def _reference_band(band: np.ndarray, mask: FrequencyMask) -> np.ndarray:
+    """Float64 pipeline of a padded raster band: its pixels. It runs over two pieces of
+    whole block rows, half the band rounded up (halves took no longer than whole bands,
+    quarters 1 to 4 % longer), in float64 scratch for the products, freed on return."""
     c, m = dct_basis(), mask.m.astype(np.float64)[:, None, :]
-    width = band.shape[1]
-    work = np.empty(2 * band.size) if work is None else work
-    rows = work.size // (2 * N * width) * N
+    width, rows = band.shape[1], N * -(-len(band) // (2 * N))
+    work = np.empty(2 * rows * width)
     out = np.empty_like(band)
     for top in range(0, len(band), rows):
         piece = band[top:top + rows]
@@ -344,24 +343,19 @@ def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
 def band_pass(width: int, bands, widths, mask: FrequencyMask, sink=None) -> list[WidthReport]:
     """One WidthReport per bit-width in `widths` of one pass over a raster `width` pixels
     wide, which bands(rows) yields top to bottom in bands of `rows` rows (pgm_reader's
-    contract); the pass picks the rows. Each band is edge-padded to 8x8 blocks and run
-    through the float reference once, then through the fixed-point pipeline at each
-    width, whose output rows from image row y go to sink(k, y, rows) (k indexes
-    `widths`) if given, valid only during the call. With every coefficient kept, the
-    float pipeline returns its input (|error| < 1e-12 against 0.5), so all-pass runs
-    no reference and its SSE against the reference is the SSE against the input."""
-    h, work, allpass = 0, None, bool(mask.m.all())
+    contract); the pass picks the rows and holds no buffer from band to band. Each band
+    is edge-padded to 8x8 blocks and run through the float reference once, then through
+    the fixed-point pipeline at each width, whose output rows from image row y go to
+    sink(k, y, rows) (k indexes `widths`) if given, valid only during the call. With
+    every coefficient kept, the float pipeline returns its input (|error| < 1e-12
+    against 0.5), so all-pass runs no reference and its SSE against the reference is
+    the SSE against the input."""
+    h, allpass = 0, bool(mask.m.all())
     totals = np.zeros((len(widths), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
     for band in bands(_band_rows(width)):
         padded = _pad(band)
         if not allpass:
-            if work is None:
-                # one float64 scratch for the pass: two halves of the first and largest
-                # band, the reference's pieces (halves took no longer than whole bands,
-                # quarters 1 to 4 % longer). A new one per band would be handed back to
-                # the system by malloc and faulted back in
-                work = np.empty(2 * N * -(-len(padded) // (2 * N)) * padded.shape[1])
-            ref = _reference_band(padded, mask, work)[:len(band), :width]
+            ref = _reference_band(padded, mask)[:len(band), :width]
         for k, b in enumerate(widths):
             pixels, count = _fixed_band(padded, b, mask)
             got = pixels[:len(band), :width]

@@ -1,12 +1,13 @@
 """Binary PGM reader/writer."""
 
+import os
 import re
 
 import numpy as np
 import pytest
 
 from arsc.dct import GrayImage
-from arsc.pgm import read_pgm, write_pgm
+from arsc.pgm import pgm_reader, read_pgm, write_pgm
 
 
 def test_round_trip(tmp_path):
@@ -68,6 +69,25 @@ def test_unsupported_maxval(tmp_path):
     p.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(ValueError, match="maxval"):
         read_pgm(p)
+
+
+def test_header_at_end_of_file(tmp_path):
+    # no whitespace byte after maxval, and no raster
+    p = tmp_path / "e.pgm"
+    p.write_bytes(b"P5 2 2 255")
+    with pytest.raises(ValueError, match="^missing whitespace after header at byte 10$"):
+        read_pgm(p)
+
+
+def test_file_shrinking_while_read(tmp_path):
+    # the raster passes the size check on entry, then the file is cut short; a
+    # raster this large is not already buffered by the header read
+    p = tmp_path / "s.pgm"
+    write_pgm(GrayImage(np.zeros((256, 256), dtype=np.uint8)), p)
+    with pgm_reader(p) as (_, height, bands):
+        os.truncate(p, 1000)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))} shrank while it was read$"):
+            next(bands(height))
 
 
 def test_non_numeric_dimension(tmp_path):

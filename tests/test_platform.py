@@ -85,6 +85,22 @@ class TestCalibrateCycles:
         with pytest.raises(CalibrationError):
             calibrate_cycles([(10, 85.7, 0.139)])
 
+    def test_non_positive_base_frequency_rejected(self):
+        # the highest-bitwidth row sets the base clock
+        with pytest.raises(CalibrationError, match="^base frequency must be positive and finite$"):
+            calibrate_cycles([(10, -85.7, 0.139), (6, 7.1, 0.012)])
+
+    def test_latency_falling_with_bitwidth_rejected(self):
+        with pytest.raises(CalibrationError, match="^fit produced non-increasing cycle model"):
+            calibrate_cycles([(10, 85.7, 0.012), (6, 7.1, 0.139)])
+
+    def test_negative_overhead_rejected(self):
+        # cycles = 1000 * 2**b - 500000 at a 1 MHz base clock
+        rows = [(b, 1.0, (1000 * 2**b - 500000) / 1e6) for b in (10, 9)]
+        message = r"^fit produced negative overhead \(c_ovh=-5e\+05\)$"
+        with pytest.raises(CalibrationError, match=message):
+            calibrate_cycles(rows)
+
     def test_residual_bound_enforced(self):
         # wildly non-affine data cannot be fit within 5%
         rows = [(10, 50.0, 0.5), (9, 50.0, 0.01), (8, 50.0, 0.4)]
@@ -132,6 +148,15 @@ class TestCalibratePower:
     def test_identical_frequencies_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_power([(50.0, 0.2), (50.0, 0.3)])
+
+    def test_power_falling_with_frequency_rejected(self):
+        with pytest.raises(CalibrationError, match="^fit produced non-increasing power model"):
+            calibrate_power([(10, 0.3), (80, 0.1)])
+
+    def test_negative_static_power_rejected(self):
+        message = r"^fit produced negative static power \(-0\.01\)$"
+        with pytest.raises(CalibrationError, match=message):
+            calibrate_power([(10, 0.01), (20, 0.03)])
 
     def test_round_trip_within_tenth_percent(self, pm):
         rows = [(f, pm.power(f)) for f, _ in POWER_ROWS]
@@ -190,6 +215,12 @@ class TestBitwidthSelection:
 
     def test_infeasible(self, cm):
         assert min_bitwidth_for_throughput(cm, 1.0, TARGET) is None
+
+    def test_target_checks(self, cm):
+        with pytest.raises(ValueError, match="^target throughput must be positive$"):
+            min_bitwidth_for_throughput(cm, 85.7, 0)
+        with pytest.raises(ValueError, match="^target throughput must be >= 0$"):
+            min_frequency_for_throughput(cm, 8, -1)
 
     def test_min_frequency_published(self, cm):
         assert min_frequency_for_throughput(cm, 9, TARGET) == pytest.approx(43.8, rel=0.05)

@@ -99,6 +99,21 @@ class TestBitStream:
         with pytest.raises(ValueError):
             BitStream(1, 0)
 
+    def test_word_within_length(self):
+        with pytest.raises(ValueError, match="^stream word has bits beyond the stated length$"):
+            BitStream(4, 16)
+
+
+class TestUnsignedFixed:
+    def test_width_at_least_one(self):
+        with pytest.raises(ValueError, match="^width must be >= 1, got 0$"):
+            UnsignedFixed(0, 0)
+
+    def test_raw_at_most_unit(self):
+        assert UnsignedFixed(3, 8).raw == 8  # 1.0, legal for scaled weights
+        with pytest.raises(ValueError, match="^raw 9 out of range for 3-bit magnitude$"):
+            UnsignedFixed(3, 9)
+
 
 class TestConventionalSng:
     def test_zero_gives_all_zeros(self):
@@ -217,6 +232,11 @@ class TestCbscMultiply:
     def test_weight_out_of_range(self):
         with pytest.raises(ValueError):
             cbsc_multiply(UnsignedFixed(3, 5), 9)
+
+    def test_unit_operand_refused(self):
+        # raw = 2**n is legal for a weight, but no stream encodes 1.0
+        with pytest.raises(ValueError, match=r"^operand must be < 1\.0$"):
+            cbsc_multiply(UnsignedFixed(3, 8), 0)
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=100)
