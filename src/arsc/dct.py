@@ -7,9 +7,9 @@ sign-magnitude MAC unit bit for bit (its scalar model is the tests' oracle,
 tests/mac_model.py). Each 1D stage reads its lanes as the leading axis of a
 view of the band and sums, in int16, one gathered row of counter-based
 products per sample and lane, next stage's lanes first. A stage's cached
-table (_stage_rows) is indexed by its input as it is, the raw pixel or the
-last stage's sum offset in place, and folds in the saturation between
-stages; stage 4's sums become pixels by exact arithmetic. Stages run only the
+table (_stage_rows) is indexed by the raw pixel, the sample trunc(sum / 4) of the
+last stage's sum (_samples) or, into stage 4, that sum offset in place, saturation
+folded in; stage 4's sums become pixels by exact arithmetic. Stages run only the
 coefficient rows and columns holding a kept one of the frequency mask, and
 only inverse sums count clamps (see _fixed_band). A float64 path of the same
 structure, one GEMM per matrix product over half a band in scratch of its own, is
@@ -147,20 +147,19 @@ def _product_rows(b: int, inverse: bool, outs: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _stage_rows(b: int, stage: int, rows: tuple[int, ...] = _ALL, cols: tuple[int, ...] = _ALL):
     """(table, lo) of MAC stage 1 to 4 at width b for kept outputs rows and cols:
-    _product_rows (forward of rows, of cols, then inverse of all; kept only here)
-    at the sample of input acc in row acc - lo. Stage 1 takes the pixel acc, the
-    sample (acc << 2) >> (10 - b); a later one the last sum acc, saturated: sign(acc)
-    * min(|acc| >> 2 (<< 2 into stage 4), 2**b - 1). The rows span every reachable
-    acc: [0, 255], a reach, or |acc| <= 2**(b-2) into stage 4, whose lookups clip."""
+    _product_rows (forward of rows, of cols, then inverse of all; kept only here) in
+    row acc - lo at the sample of acc, which is a pixel, sampled (acc << 2) >> (10 - b),
+    a sample (stages 2, 3: _samples) or a sum, saturated: sign(acc) * min(|acc| << 2,
+    2**b - 1). The rows span [0, 255], a reach over 4, or |acc| <= 2**(b-2), clipping."""
     lo, hi = (0, 255) if stage == 1 else (-(1 << (b - 2)), 1 << (b - 2))
     if stage in (2, 3):  # the stage-1 reach of rows, or the all-pass stage-2 one (not kept)
         p = (_stage_rows(b, 1, rows) if stage == 2 else _stage_rows.__wrapped__(b, 2))[0]
         p = p.view(np.int16)  # [lane, row, output]
         lo, hi = int(p.min(axis=1).sum(axis=0).min()), int(p.max(axis=1).sum(axis=0).max())
+        lo, hi = -(-lo >> INTER_STAGE_SHIFT), hi >> INTER_STAGE_SHIFT  # trunc: lo <= 0 <= hi
     acc = np.arange(lo, hi + 1)
-    mag = np.abs(acc) << INTER_STAGE_SHIFT if stage == 4 else np.abs(acc) >> INTER_STAGE_SHIFT
-    sv = ((acc << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b) if stage == 1
-          else np.sign(acc) * np.minimum(mag, (1 << b) - 1))
+    sv = ((acc << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b) if stage == 1 else acc if stage < 4
+          else np.sign(acc) * np.minimum(np.abs(acc) << INTER_STAGE_SHIFT, (1 << b) - 1))
     table = _product_rows(b, stage > 2, (rows, cols, _ALL, _ALL)[stage - 1])[:, sv + (1 << b) - 1]
     table.setflags(write=False)
     return table, lo
@@ -169,6 +168,14 @@ def _stage_rows(b: int, stage: int, rows: tuple[int, ...] = _ALL, cols: tuple[in
 def _clamps(acc: np.ndarray, b: int) -> int:
     """Inverse-stage sums of acc that saturate: |acc| > 2**(b-2) - 1."""
     return int(np.count_nonzero(np.abs(acc) > (1 << (b - 2)) - 1))
+
+
+def _samples(acc: np.ndarray, lo: int) -> np.ndarray:
+    """Row indices trunc(acc / 4) - lo of int16 sums acc, |acc| < 2**14, in a new array:
+    (acc + 3) >> 2 where acc < 0, acc >> 2 elsewhere, in four whole-array passes."""
+    idx = np.right_shift(acc.view(np.uint16), 14).view(np.int16)  # 3 where acc < 0
+    np.right_shift(np.add(idx, acc, out=idx), INTER_STAGE_SHIFT, out=idx)
+    return np.subtract(idx, lo, out=idx)
 
 
 def _to_pixels(acc: np.ndarray, b: int) -> np.ndarray:
@@ -276,10 +283,10 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
 
     Forward stage 2 runs only the kept rows' vectors, and the inverse stages
     skip the lanes that zeroed coefficients and vectors feed, which add 0.
-    Stages 2, 3 and 4 gather at the last stage's sums, offset in place onto
-    tables over the stage-1 reach of the kept rows ([-1444, 2888] at b=10 for
-    all), the all-pass stage-2 reach, which holds every mask's ([-1536, 2048]),
-    and |sum| <= 2**(b-2), clipped, as a larger |sum| saturates. Pixels are
+    Stages 2 and 3 gather at the samples of the last sums (_samples), on tables over
+    the samples of the stage-1 reach of the kept rows ([-361, 722] at b=10 for all) and
+    the all-pass stage-2 reach, which holds every mask's ([-384, 512]); stage 4 at the
+    sums offset in place, over |sum| <= 2**(b-2), clipped: a larger |sum| saturates. Pixels are
     clip(sum << (10 - b), 0, ((2**b - 1) << (10 - b)) >> 2). Only inverse sums
     count clamps, |sum| > 2**(b-2) - 1: no forward |sum| passes 2896 * 2**(b-10).
     """
@@ -291,11 +298,9 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
     # pixel [r, i, c, j] of the band is sample i of the vector [j, r, c]
     acc = _stage(band.reshape(-1, N, band.shape[1] // N, N).transpose(1, 3, 0, 2),
                  _stage_rows(b, 1, rows)[0], _ALL)  # [j, r, c, row k]
-    acc -= lo2
-    acc = _stage(acc[..., :len(rows)], second, _ALL)  # [r, c, k, column l]
-    acc -= lo3
-    x = acc[..., :len(cols)].transpose(3, 2, 0, 1)  # [l, k, r, c]
-    if not mask.kept_block.all():  # a zeroed coefficient is the sum 0
+    acc = _stage(_samples(acc[..., :len(rows)], lo2), second, _ALL)  # [r, c, k, column l]
+    x = _samples(acc[..., :len(cols)], lo3).transpose(3, 2, 0, 1)  # [l, k, r, c]
+    if not mask.kept_block.all():  # a zeroed coefficient is the sample 0
         np.copyto(x, -lo3, where=mask.kept_block.T[..., None, None] == 0)
     acc = _stage(x, third, cols)  # [k, r, c, pixel column j]
     clamps = _clamps(acc, b)

@@ -294,9 +294,10 @@ def verify_multiplier(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
         block = product[x0:x1]
         np.subtract(block[:, 1:], block[:, :-1], out=step)
         bad = np.flatnonzero((step != streams).any(axis=1) | (block[:, 0] != 0))
-        gate = np.cumsum(streams[bad], axis=1, dtype=np.int16)
-        mismatches += int(np.count_nonzero(block[bad, 0]))
-        mismatches += int(np.count_nonzero(block[bad, 1:] != gate))
+        if bad.size:
+            gate = np.cumsum(streams[bad], axis=1, dtype=np.int16)
+            mismatches += int(np.count_nonzero(block[bad, 0]))
+            mismatches += int(np.count_nonzero(block[bad, 1:] != gate))
         np.left_shift(block, n, out=err, dtype=np.int32)
         np.abs(np.subtract(err, xw, out=err), out=err)
         # int32 sums a row of size + 1 errors <= top below 2**31; edited tables reach ~2**25

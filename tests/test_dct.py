@@ -28,6 +28,7 @@ from arsc.dct import (
     _product_rows,
     _psnr_db,
     _reference_band,
+    _samples,
     _sse,
     _stage,
     _stage_rows,
@@ -759,10 +760,11 @@ class TestPrunedEngineOracle:
 
     @pytest.mark.parametrize("bits", BITWIDTHS)
     def test_biased_sums_index_the_tables(self, bits, monkeypatch):
-        # _fixed_band offsets each stage's int16 sums in place before the next
-        # stage gathers at them: on full-swing blocks, under every mask, stages
-        # 2 and 3 must index inside their tables, which clip no lookup; stage 3
-        # reads the one all-pass table of the width and stage 4 the clipped one
+        # _fixed_band indexes stages 2 and 3 at the samples of the last stage's
+        # int16 sums and stage 4 at its sums offset in place: on full-swing blocks,
+        # under every mask, stages 2 and 3 must index inside their tables, which
+        # clip no lookup; stage 3 reads the one all-pass table of the width and
+        # stage 4 the clipped one
         # (test_saturation_tables_take_every_signed_sum checks lookups past it)
         calls, stage = [], arsc.dct._stage
 
@@ -895,10 +897,11 @@ class TestProductTables:
 
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_saturation_tables_take_every_signed_sum(self, b):
-        # stages 2 to 4 gather at the last stage's sum acc less lo: row acc - lo
-        # is _product_rows at the sample acc saturates to, for every acc in the
-        # table's span, and a clip-mode lookup past stage 4's span saturates, for
-        # every sum in [-8 * 2**b, 8 * 2**b]
+        # stages 2 and 3 gather at the sample of the last stage's sum: row k is
+        # _product_rows at the sample lo + k, and the row _samples picks for each
+        # sum of the last stage's reach holds the sample that sum saturates to;
+        # stage 4 gathers at the last sum less lo, and a clip-mode lookup past its
+        # span saturates, for every sum in [-8 * 2**b, 8 * 2**b]
         top = (1 << b) - 1
         third, lo3 = _stage_rows(b, 3)
         for name, mask in PRUNING_MASKS.items():
@@ -906,19 +909,22 @@ class TestProductTables:
             if not rows:
                 continue
             second, lo2 = _stage_rows(b, 2, rows, cols)
-            for table, lo, products in ((second, lo2, _product_rows(b, False, cols)),
-                                        (third, lo3, _product_rows(b, True, _ALL))):
+            # over the reach of the kept rows' stage 1, or the all-pass stage-2 one
+            for table, lo, products, reach in (
+                    (second, lo2, _product_rows(b, False, cols), _stage_rows(b, 1, rows)[0]),
+                    (third, lo3, _product_rows(b, True, _ALL), _stage_rows(b, 2)[0])):
                 assert not table.flags.writeable and table.dtype == products.dtype, name
-                acc = np.arange(lo, lo + table.shape[1])
+                table, products = table.view(np.int16), products.view(np.int16)
+                reach = _reach(reach)
+                sample = np.arange(lo, lo + table.shape[1])
+                assert np.array_equal(table, products[:, sample + top]), name
+                assert (lo, sample[-1]) == tuple(int(v / 4) for v in reach), name
+                acc = np.arange(reach[0], reach[1] + 1)
                 want = products[:, _saturated(acc, b, False)[0] + top]
-                assert np.array_equal(table.view(np.int16), want.view(np.int16)), name
-            # the span is the stage-1 reach of the kept rows
-            assert (lo2, lo2 + second.shape[1] - 1) == _reach(_stage_rows(b, 1, rows)[0]), name
-        # stage 3's is the all-pass stage-2 reach
-        assert (lo3, lo3 + third.shape[1] - 1) == _reach(_stage_rows(b, 2)[0])
+                assert np.array_equal(table[:, _samples(acc.astype(np.int16), lo)], want), name
         if b == 10:  # the spans the docs give
-            assert _stage_rows(b, 2)[1] == -1444 and _stage_rows(b, 2)[0].shape[1] == 4333
-            assert (lo3, third.shape[1]) == (-1536, 3585)
+            assert _stage_rows(b, 2)[1] == -361 and _stage_rows(b, 2)[0].shape[1] == 1084
+            assert (lo3, third.shape[1]) == (-384, 897)
         q = 1 << (b - 2)
         table, lo = _stage_rows(b, 4)
         assert lo == -q and table.shape == (N, 2 * q + 1, 1) and not table.flags.writeable
@@ -937,7 +943,7 @@ class TestProductTables:
         assert np.array_equal(pixels, np.clip(np.sign(raw) * ((np.abs(raw) + 2) >> 2), 0, 255))
         assert pixels.max() == (top << (SAMPLE_WIDTH - b)) >> PIXEL_SHIFT
 
-    def test_tables_fit_in_3_mib(self, monkeypatch):
+    def test_tables_fit_in_1_mib(self, monkeypatch):
         # the distinct tables _fixed_band reads for the benchmark's two masks at
         # every width: the stage-2 tables per mask, the rest shared by both
         tables, stage = {}, arsc.dct._stage
@@ -952,7 +958,23 @@ class TestProductTables:
             for b in BITWIDTHS:
                 _fixed_band(block, b, mask)
         assert len(tables) == 2 * 4 * len(BITWIDTHS) - 2 * len(BITWIDTHS)
-        assert sum(t.nbytes for t in tables.values()) <= 3 << 20
+        assert sum(t.nbytes for t in tables.values()) <= 1 << 20
+
+    @pytest.mark.parametrize("b", BITWIDTHS)
+    def test_samples_truncate_every_sum(self, b):
+        # stages 2 and 3 index their tables at trunc(sum / 4) - lo: every sum in
+        # [-8 * 2**b, 8 * 2**b], so each residue mod 4 of either sign, against
+        # float64 division; a slice of a stage's outputs, as _fixed_band passes
+        # it, is read through and left unchanged
+        acc = np.arange(-N << b, (N << b) + 1, dtype=np.int16)
+        sums = acc[1:].reshape(-1, N)
+        kept = sums.copy()
+        for lo in (_stage_rows(b, 2)[1], _stage_rows(b, 3)[1], 0, 5):
+            got = _samples(acc, lo)
+            assert got.dtype == np.int16 and np.array_equal(got, np.trunc(acc / 4.0) - lo), lo
+            got = _samples(sums[:, :3], lo)
+            assert np.array_equal(got, np.trunc(kept[:, :3] / 4.0) - lo), lo
+            assert np.array_equal(sums, kept), lo
 
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_clamps_at_both_bounds(self, b):

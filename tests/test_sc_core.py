@@ -446,7 +446,8 @@ class TestVerifyMultiplier:
 
     @pytest.mark.parametrize("n", [3, 10])
     def test_exact_table_sums_no_row(self, monkeypatch, n):
-        # the gate counts are summed only for rows whose increments fail the check
+        # the gate counts are summed only for rows whose increments fail the check:
+        # an exact table sums no row, and a block with none skips the sum
         summed, cumsum = [], np.cumsum
 
         def spy(a, *args, **kwargs):
@@ -455,7 +456,7 @@ class TestVerifyMultiplier:
 
         monkeypatch.setattr(np, "cumsum", spy)
         assert verify_multiplier(*_folded_configs(n, 1)).mismatches == 0
-        assert summed and set(summed) == {0}
+        assert not any(summed)
 
     @pytest.mark.parametrize("x", [0, 77, 1023])
     def test_whole_row_offset(self, monkeypatch, x):
