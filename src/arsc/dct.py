@@ -12,9 +12,9 @@ last stage's sum (_samples) or, into stage 4, that sum offset in place, saturati
 folded in; stage 4's sums become pixels by exact arithmetic. Stages run only the
 coefficient rows and columns holding a kept one of the frequency mask, and
 only inverse sums count clamps (see _fixed_band). A float64 path of the same
-structure, one GEMM per matrix product over half a band in scratch of its own, is
-the accuracy reference; with every coefficient kept it returns its input, so an
-all-pass band_pass runs none.
+structure, one GEMM per matrix product over pieces of whole block rows in scratch of
+its own, is the accuracy reference; with every coefficient kept it returns its input, so
+an all-pass band_pass runs none.
 Every 1D stage output is scaled by 1/4 before buffering (and re-amplified by
 4 in the inverse stages) so that all multiplier operands stay inside [0, 1);
 the net gain is exactly 1.
@@ -118,20 +118,20 @@ class FrequencyMask:
 # 8 terms), each charged the fixed 2**b-cycle schedule
 _TRANSFORM_SLOTS = 2 * N * N * N
 _ALL = tuple(range(N))  # every lane or output of a stage
-_ROW_TYPES = {1: np.int16, 2: np.int32, 4: np.int64, 8: np.complex128}  # by products per row
 # blocks per band of whole block rows: ≈0.6 KB of fixed-point temporaries per block, and
-# 0.5 KB of float scratch (the reference's half bands) freed before them. 1024 beat 512
-# with both masks at 256² and 1024²
+# 0.5 KB of float scratch (reference pieces of half as many blocks) freed before them.
+# 1024 beat 512 with both masks at 256² and 1024²
 CHUNK_BLOCKS = 1024
 
 
 def _product_rows(b: int, inverse: bool, outs: tuple[int, ...]) -> np.ndarray:
     """Counter-based product rows of outputs `outs` of one direction at width b.
 
-    Row sv + 2**b - 1 of lane i is one _ROW_TYPES scalar: the int16 products
+    Row sv + 2**b - 1 of lane i is one void scalar of the int16 products
     sign(sv) * sign(c[k, i]) * prefix_ones(|sv|, b, round(|c[k, i]| * 2**b)) of a
-    signed b-bit sample sv for k in `outs`, in that order, zero-padded to 1, 2, 4
-    or 8 products; c is the basis, transposed if inverse. Uncached: see _stage_rows."""
+    signed b-bit sample sv for k in `outs`, in that order, zero-padded to 1, 2, 4 or 8
+    products, the row sizes that ndarray.take copies fastest; c is the basis, transposed
+    if inverse. Uncached: see _stage_rows."""
     c = dct_basis().T if inverse else dct_basis()
     coeffs = np.zeros((1 << (len(outs) - 1).bit_length(), N))  # padding weighs 0
     coeffs[:len(outs)] = c[list(outs)]
@@ -139,28 +139,27 @@ def _product_rows(b: int, inverse: bool, outs: tuple[int, ...]) -> np.ndarray:
     weights = np.floor(np.abs(coeffs) * (1 << b) + 0.5).astype(np.int64)
     prod = prefix_ones_table(b, weights.T) * np.where(coeffs.T < 0, np.int16(-1), np.int16(1))
     signed = np.concatenate([-prod[:0:-1], prod])  # int16 [sv, lane i, k]
-    rows = signed.swapaxes(0, 1).copy().view(_ROW_TYPES[len(coeffs)])  # C order: lanes contiguous
+    rows = signed.swapaxes(0, 1).copy().view(np.dtype((np.void, 2 * len(coeffs))))  # lane-major
     rows.setflags(write=False)
     return rows
 
 
 @lru_cache(maxsize=None)
-def _stage_rows(b: int, stage: int, rows: tuple[int, ...] = _ALL, cols: tuple[int, ...] = _ALL):
-    """(table, lo) of MAC stage 1 to 4 at width b for kept outputs rows and cols:
-    _product_rows (forward of rows, of cols, then inverse of all; kept only here) in
-    row acc - lo at the sample of acc, which is a pixel, sampled (acc << 2) >> (10 - b),
-    a sample (stages 2, 3: _samples) or a sum, saturated: sign(acc) * min(|acc| << 2,
-    2**b - 1). The rows span [0, 255], a reach over 4, or |acc| <= 2**(b-2), clipping."""
+def _stage_rows(b: int, stage: int, outs: tuple[int, ...] = _ALL):
+    """(table, lo) of MAC stage 1 to 4 at width b for outputs outs: _product_rows (forward,
+    inverse from stage 3) in row acc - lo at the sample of acc, which is a pixel, sampled
+    (acc << 2) >> (10 - b), a sample (stages 2, 3: _samples) or a sum, saturated:
+    sign(acc) * min(|acc| << 2, 2**b - 1). The rows span [0, 255], the samples of the
+    all-pass last stage's reach, which holds every mask's, or |acc| <= 2**(b-2), clipping."""
     lo, hi = (0, 255) if stage == 1 else (-(1 << (b - 2)), 1 << (b - 2))
-    if stage in (2, 3):  # the stage-1 reach of rows, or the all-pass stage-2 one (not kept)
-        p = (_stage_rows(b, 1, rows) if stage == 2 else _stage_rows.__wrapped__(b, 2))[0]
-        p = p.view(np.int16)  # [lane, row, output]
+    if stage in (2, 3):  # uncached: a lowpass-only run keeps no all-pass table
+        p = _stage_rows.__wrapped__(b, stage - 1, _ALL)[0].view(np.int16)  # [lane, row, output]
         lo, hi = int(p.min(axis=1).sum(axis=0).min()), int(p.max(axis=1).sum(axis=0).max())
         lo, hi = -(-lo >> INTER_STAGE_SHIFT), hi >> INTER_STAGE_SHIFT  # trunc: lo <= 0 <= hi
     acc = np.arange(lo, hi + 1)
     sv = ((acc << PIXEL_SHIFT) >> (SAMPLE_WIDTH - b) if stage == 1 else acc if stage < 4
           else np.sign(acc) * np.minimum(np.abs(acc) << INTER_STAGE_SHIFT, (1 << b) - 1))
-    table = _product_rows(b, stage > 2, (rows, cols, _ALL, _ALL)[stage - 1])[:, sv + (1 << b) - 1]
+    table = _product_rows(b, stage > 2, outs)[:, sv + (1 << b) - 1]
     table.setflags(write=False)
     return table, lo
 
@@ -268,9 +267,9 @@ def _pad(pixels: np.ndarray) -> np.ndarray:
     return pixels
 
 
-def _band_rows(width: int) -> int:
-    """Rows of a band of whole block rows at this width: about CHUNK_BLOCKS blocks."""
-    return N * max(1, CHUNK_BLOCKS // -(-width // N))
+def _band_rows(width: int, blocks: int) -> int:
+    """Rows of a piece of about `blocks` blocks at this width, whole block rows, at least one."""
+    return N * max(1, blocks // -(-width // N))
 
 
 def _bands(pixels: np.ndarray):
@@ -284,16 +283,16 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
     Forward stage 2 runs only the kept rows' vectors, and the inverse stages
     skip the lanes that zeroed coefficients and vectors feed, which add 0.
     Stages 2 and 3 gather at the samples of the last sums (_samples), on tables over
-    the samples of the stage-1 reach of the kept rows ([-361, 722] at b=10 for all) and
-    the all-pass stage-2 reach, which holds every mask's ([-384, 512]); stage 4 at the
-    sums offset in place, over |sum| <= 2**(b-2), clipped: a larger |sum| saturates. Pixels are
+    the samples of the all-pass stage-1 and stage-2 reaches ([-361, 722] and [-384, 512]
+    at b=10), which hold every mask's; stage 4 at the sums offset in place, over
+    |sum| <= 2**(b-2), clipped: a larger |sum| saturates. Pixels are
     clip(sum << (10 - b), 0, ((2**b - 1) << (10 - b)) >> 2). Only inverse sums
     count clamps, |sum| > 2**(b-2) - 1: no forward |sum| passes 2896 * 2**(b-10).
     """
     rows, cols = mask.kept_rows, mask.kept_cols
     if not rows:
         return np.zeros(band.shape, dtype=np.uint8), 0
-    second, lo2 = _stage_rows(b, 2, rows, cols)
+    second, lo2 = _stage_rows(b, 2, cols)
     (third, lo3), (fourth, lo4) = _stage_rows(b, 3), _stage_rows(b, 4)
     # pixel [r, i, c, j] of the band is sample i of the vector [j, r, c]
     acc = _stage(band.reshape(-1, N, band.shape[1] // N, N).transpose(1, 3, 0, 2),
@@ -312,11 +311,12 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
 
 
 def _reference_band(band: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    """Float64 pipeline of a padded raster band: its pixels. It runs over two pieces of
-    whole block rows, half the band rounded up (halves took no longer than whole bands,
-    quarters 1 to 4 % longer), in float64 scratch for the products, freed on return."""
+    """Float64 pipeline of a padded raster of any height: its pixels. It runs over pieces
+    of _band_rows(width, CHUNK_BLOCKS // 2) rows (half-band pieces took no longer than
+    whole bands, quarters 1 to 4 % longer), in float64 scratch of one piece for the
+    products, freed on return: its memory beyond its output is bounded at any height."""
     c, m = dct_basis(), mask.m.astype(np.float64)[:, None, :]
-    width, rows = band.shape[1], N * -(-len(band) // (2 * N))
+    width, rows = band.shape[1], min(len(band), _band_rows(band.shape[1], CHUNK_BLOCKS // 2))
     work = np.empty(2 * rows * width)
     out = np.empty_like(band)
     for top in range(0, len(band), rows):
@@ -331,7 +331,8 @@ def _reference_band(band: np.ndarray, mask: FrequencyMask) -> np.ndarray:
         x.reshape(N, -1, N)[...] *= m
         np.matmul(_BASIS_T, x, out=y)
         np.matmul(y.reshape(-1, N), c, out=x.reshape(-1, N))
-        # negatives clip to 0 and the cast truncates, so x + 0.5 rounds half away from zero
+        # negatives clip to 0 and the cast truncates, so x + 0.5 rounds to nearest. At an
+        # exact k + 1/2 the last bit of the GEMM chain decides, so the BLAS kernel does
         np.clip(np.add(x, 0.5, out=x), 0, 255, out=x)
         np.copyto(out[top:top + rows].reshape(-1, N, width).swapaxes(0, 1), raster,
                   casting="unsafe")
@@ -339,10 +340,8 @@ def _reference_band(band: np.ndarray, mask: FrequencyMask) -> np.ndarray:
 
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
-    """Float64 pipeline with the same blocks, bands and mask; the accuracy baseline."""
-    bands = _bands(img.pixels)(_band_rows(img.width))
-    return GrayImage(np.concatenate([_reference_band(_pad(band), mask)[:len(band), :img.width]
-                                     for band in bands]))
+    """Float64 pipeline with the same blocks and mask; the accuracy baseline."""
+    return GrayImage(_reference_band(_pad(img.pixels), mask)[:img.height, :img.width])
 
 
 def band_pass(width: int, bands, widths, mask: FrequencyMask, sink=None) -> list[WidthReport]:
@@ -357,7 +356,7 @@ def band_pass(width: int, bands, widths, mask: FrequencyMask, sink=None) -> list
     the SSE against the input."""
     h, allpass = 0, bool(mask.m.all())
     totals = np.zeros((len(widths), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
-    for band in bands(_band_rows(width)):
+    for band in bands(_band_rows(width, CHUNK_BLOCKS)):
         padded = _pad(band)
         if not allpass:
             ref = _reference_band(padded, mask)[:len(band), :width]

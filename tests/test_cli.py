@@ -25,6 +25,7 @@ from arsc.cli import (
     parse_mask,
 )
 from arsc.dct import (
+    CHUNK_BLOCKS,
     FrequencyMask,
     GrayImage,
     _band_rows,
@@ -617,10 +618,13 @@ class TestStreamedImages:
         assert capsys.readouterr().out == want
 
     def test_sizes_cover_the_band_cases(self):
-        assert STREAM_SIZES[1][0] == 8 < _band_rows(STREAM_SIZES[1][1])  # part of one band
-        assert STREAM_SIZES[3][0] == _band_rows(STREAM_SIZES[3][1]) == 8  # one band
+        def band_rows(w):
+            return _band_rows(w, CHUNK_BLOCKS)
+
+        assert STREAM_SIZES[1][0] == 8 < band_rows(STREAM_SIZES[1][1])  # part of one band
+        assert STREAM_SIZES[3][0] == band_rows(STREAM_SIZES[3][1]) == 8  # one band
         for (h, w), bands in ((STREAM_SIZES[2], 2), (STREAM_SIZES[4], 3)):
-            rows = _band_rows(w)
+            rows = band_rows(w)
             assert h // rows == bands - 1 and h % rows and h % 8 and w % 8  # ragged
 
     def test_in_place(self, tmp_path, capsys):

@@ -897,34 +897,36 @@ class TestProductTables:
 
     @pytest.mark.parametrize("b", BITWIDTHS)
     def test_saturation_tables_take_every_signed_sum(self, b):
-        # stages 2 and 3 gather at the sample of the last stage's sum: row k is
-        # _product_rows at the sample lo + k, and the row _samples picks for each
-        # sum of the last stage's reach holds the sample that sum saturates to;
-        # stage 4 gathers at the last sum less lo, and a clip-mode lookup past its
+        # stages 2 and 3 gather at the sample of the last stage's sum, on one span per
+        # stage and width whatever the outputs: the samples of the all-pass last stage's
+        # reach. Row k is _product_rows at the sample lo + k, and the row _samples picks
+        # for each sum of that reach holds the sample that sum saturates to; each mask's
+        # own stage-1 reach lies inside the all-pass one, so its sums index the table too.
+        # Stage 4 gathers at the last sum less lo, and a clip-mode lookup past its
         # span saturates, for every sum in [-8 * 2**b, 8 * 2**b]
         top = (1 << b) - 1
-        third, lo3 = _stage_rows(b, 3)
+        spans = {2: _reach(_stage_rows(b, 1)[0]), 3: _reach(_stage_rows(b, 2)[0])}
+        cases = {(3, _ALL)} | {(2, mask.kept_cols) for mask in PRUNING_MASKS.values()}
+        for stage, outs in sorted(cases - {(2, ())}):
+            table, lo = _stage_rows(b, stage, outs)
+            products = _product_rows(b, stage == 3, outs)
+            assert not table.flags.writeable and table.dtype == products.dtype, outs
+            table, products = table.view(np.int16), products.view(np.int16)
+            reach = spans[stage]
+            sample = np.arange(lo, lo + table.shape[1])
+            assert np.array_equal(table, products[:, sample + top]), (stage, outs)
+            assert (lo, sample[-1]) == tuple(int(v / 4) for v in reach), (stage, outs)
+            acc = np.arange(reach[0], reach[1] + 1)
+            want = products[:, _saturated(acc, b, False)[0] + top]
+            assert np.array_equal(table[:, _samples(acc.astype(np.int16), lo)], want), outs
         for name, mask in PRUNING_MASKS.items():
-            rows, cols = mask.kept_rows, mask.kept_cols
-            if not rows:
-                continue
-            second, lo2 = _stage_rows(b, 2, rows, cols)
-            # over the reach of the kept rows' stage 1, or the all-pass stage-2 one
-            for table, lo, products, reach in (
-                    (second, lo2, _product_rows(b, False, cols), _stage_rows(b, 1, rows)[0]),
-                    (third, lo3, _product_rows(b, True, _ALL), _stage_rows(b, 2)[0])):
-                assert not table.flags.writeable and table.dtype == products.dtype, name
-                table, products = table.view(np.int16), products.view(np.int16)
-                reach = _reach(reach)
-                sample = np.arange(lo, lo + table.shape[1])
-                assert np.array_equal(table, products[:, sample + top]), name
-                assert (lo, sample[-1]) == tuple(int(v / 4) for v in reach), name
-                acc = np.arange(reach[0], reach[1] + 1)
-                want = products[:, _saturated(acc, b, False)[0] + top]
-                assert np.array_equal(table[:, _samples(acc.astype(np.int16), lo)], want), name
+            if mask.kept_rows:
+                own = _reach(_stage_rows(b, 1, mask.kept_rows)[0])
+                assert spans[2][0] <= own[0] and own[1] <= spans[2][1], name
         if b == 10:  # the spans the docs give
-            assert _stage_rows(b, 2)[1] == -361 and _stage_rows(b, 2)[0].shape[1] == 1084
-            assert (lo3, third.shape[1]) == (-384, 897)
+            assert spans == {2: (-1444, 2888), 3: (-1536, 2048)}
+            assert (_stage_rows(b, 2)[1], _stage_rows(b, 2)[0].shape[1]) == (-361, 1084)
+            assert (_stage_rows(b, 3)[1], _stage_rows(b, 3)[0].shape[1]) == (-384, 897)
         q = 1 << (b - 2)
         table, lo = _stage_rows(b, 4)
         assert lo == -q and table.shape == (N, 2 * q + 1, 1) and not table.flags.writeable
@@ -1117,7 +1119,9 @@ class TestBands:
             got = _all_widths(pixels, mask)
             assert got == want, shape
             assert [r.output.pixels.shape for r in got] == [shape] * len(BITWIDTHS)
-            assert reference_pipeline(GrayImage(pixels), mask) == ref, shape
+            blockwise = _per_block_reference(pixels, mask)
+            assert np.array_equal(reference_pipeline(GrayImage(pixels), mask).pixels, blockwise)
+            assert np.array_equal(ref.pixels, blockwise), shape
 
     @pytest.mark.parametrize("mask", [FrequencyMask.allpass(), FrequencyMask.lowpass(4),
                                       PRUNING_MASKS["hole"]], ids=["allpass", "lowpass:4", "hole"])
@@ -1182,16 +1186,63 @@ class TestReferenceBand:
 
     @pytest.mark.parametrize("mask", [FrequencyMask.lowpass(4), PRUNING_MASKS["hole"]],
                              ids=["lowpass:4", "hole"])
-    def test_pieces_match_one_piece(self, mask):
-        # halves of whole block rows that are unequal (3+2, 7+6 and 13+12 block rows)
-        # and a band of one block row, which runs as one piece: each gives the
-        # block-by-block pixels
+    def test_pieces_match_one_piece(self, mask, monkeypatch):
+        # pieces of CHUNK_BLOCKS // 2 blocks that split a raster unequally (3+2, 7+6 and
+        # 13+12 block rows), pieces of one block row where a block row holds more, and
+        # one block row as one piece: each gives the block-by-block pixels
         rng = np.random.default_rng(512)
-        for shape in [(37, 29), (101, 64), (200, 136), (8, 1000)]:
+        for shape, chunk in [((37, 29), 24), ((101, 64), 112), ((200, 136), 442),
+                             ((24, 1000), 100), ((8, 1000), 1024)]:
+            monkeypatch.setattr(arsc.dct, "CHUNK_BLOCKS", chunk)
             pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
             pixels[:, ::3] = pixels[:, ::3] // 128 * 255  # full swing
             got = _reference_band(_pad(pixels), mask)[:shape[0], :shape[1]]
             assert np.array_equal(got, _per_block_reference(pixels, mask)), shape
+
+    def test_rounding_clear_of_ties(self):
+        # The reference rounds by adding 0.5 and truncating, so at an exact k + 1/2 the
+        # last bit of its GEMM chain, and so the BLAS kernel, decides the pixel. Computed
+        # in any order, with or without FMA, a K-term dot product errs by at most
+        # gamma_K = K*u / (1 - K*u) times the sum of its terms' magnitudes (u = 2**-53).
+        # Over the four products (K = 8, |c| <= 0.5, inputs <= 255, the mask exact) that
+        # bounds a pre-rounding value's distance from exact arithmetic on the float64
+        # basis by `bound`; two kernels' values lie within 2 * bound of each other. On
+        # the benchmark's lowpass:4 images every value that a rounding boundary 0.5 ..
+        # 254.5 can move lies farther from one than that (5.83e-7 against 4.6e-10), so
+        # every kernel gives these pixels; the + 0.5 itself moves nothing (ulp 2**-45)
+        u = np.finfo(np.float64).eps / 2
+        gamma, bound, reach = N * u / (1 - N * u), 0.0, 255.0
+        for _ in range(4):
+            bound, reach = N * 0.5 * bound + gamma * N * 0.5 * (reach + bound), N * 0.5 * reach
+        assert 2.3e-10 < bound < 2.4e-10
+        c, mask = dct_basis(), FrequencyMask.lowpass(4)
+        image = reference_image().pixels
+        for name, tile in {"identity": image, "flip_h": image[:, ::-1], "flip_v": image[::-1],
+                           "transpose": image.T}.items():
+            pixels = np.ascontiguousarray(tile)
+            blocks = pixels.reshape(32, N, 32, N).swapaxes(1, 2).astype(np.float64)
+            values = c.T @ ((c @ blocks @ c.T) * mask.m) @ c
+            margin = np.abs(values - np.clip(np.floor(values) + 0.5, 0.5, 254.5)).min()
+            assert 2 * bound < 5.82e-7 < margin < 5.84e-7, name
+            rounded = np.clip(np.floor(values + 0.5), 0, 255).swapaxes(1, 2).reshape(pixels.shape)
+            assert np.array_equal(_reference_band(pixels, mask), rounded), name
+
+    def test_scratch_bounded_at_any_height(self):
+        # a raster of four bands of CHUNK_BLOCKS blocks runs in pieces of half a band:
+        # beyond its output it peaks at the 512 KiB of float scratch of one piece and
+        # a 64 KiB cast buffer (579 KiB), as it does over one band. Scratch for half
+        # the raster would take 2 MiB here, and grow with the height
+        pixels = np.tile(reference_image().pixels, (4, 1))
+        assert len(pixels) == 4 * arsc.dct._band_rows(pixels.shape[1], arsc.dct.CHUNK_BLOCKS)
+        mask = FrequencyMask.lowpass(4)
+        _reference_band(pixels, mask)  # warm
+        tracemalloc.start()
+        try:
+            _reference_band(pixels, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - pixels.nbytes < 0.75 * 2**20, peak
 
     @pytest.mark.parametrize("mask", [FrequencyMask.lowpass(4), FrequencyMask.allpass()],
                              ids=["lowpass:4", "allpass"])
@@ -1201,7 +1252,7 @@ class TestReferenceBand:
         # stages run, and all-pass runs no reference: 643 and 646 KiB, where scratch
         # held for the pass took 1063 KiB with lowpass:4
         pixels = reference_image().pixels
-        assert arsc.dct._band_rows(pixels.shape[1]) == len(pixels)
+        assert arsc.dct._band_rows(pixels.shape[1], arsc.dct.CHUNK_BLOCKS) == len(pixels)
         band_pass(pixels.shape[1], _bands(pixels), BITWIDTHS, mask)  # the tables are cached
         tracemalloc.start()
         try:
@@ -1241,7 +1292,7 @@ class TestBandPassRecord:
         assert _sse(np.zeros(n, np.uint8), np.full(n, 255, np.uint8)) == n * 65025 > 1 << 32
         # one band of 65,600 full-swing pixels
         pixels = np.random.default_rng(8200).integers(0, 2, (8, 8200), dtype=np.uint8) * 255
-        assert arsc.dct._band_rows(pixels.shape[1]) == len(pixels)
+        assert arsc.dct._band_rows(pixels.shape[1], arsc.dct.CHUNK_BLOCKS) == len(pixels)
         mask = FrequencyMask.lowpass(4)
         ref = reference_pipeline(GrayImage(pixels), mask).pixels
         for rep in _all_widths(pixels, mask):

@@ -37,6 +37,10 @@ class TestLfsr:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             lfsr_step(0, LfsrConfig(3))
+        # and so is a state past the register: 2**3 = 8 at width 3, while 7 steps on
+        with pytest.raises(ValueError, match="^LFSR state 8 out of range"):
+            lfsr_step(8, LfsrConfig(3))
+        assert lfsr_step(7, LfsrConfig(3)) == 6
         with pytest.raises(ValueError):
             LfsrConfig(3, seed=0)
 
@@ -141,6 +145,8 @@ class TestConventionalSng:
             sng_conventional(UnsignedFixed(3, 1), 6, LfsrConfig(3))
         with pytest.raises(ValueError):
             sng_conventional(UnsignedFixed(4, 1), 8, LfsrConfig(3))
+        # length 2, the shortest power of two accepted: the seed 1 is below 2, state 2 is not
+        assert sng_conventional(UnsignedFixed(3, 2), 2, LfsrConfig(3)) == BitStream(2, 0b01)
 
 
 class TestDeterministicSng:
@@ -230,7 +236,7 @@ class TestCbscMultiply:
                 assert cbsc_multiply(UnsignedFixed(n, raw), 1 << n).product == raw
 
     def test_weight_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^scaled weight 9 out of range 0\.\.8$"):
             cbsc_multiply(UnsignedFixed(3, 5), 9)
 
     def test_unit_operand_refused(self):
@@ -502,11 +508,26 @@ class TestVerifyMultiplier:
             table[0] += 30000
             table[1023] -= 30000
 
-        table = prefix_ones_table(10, np.arange(1025)).astype(np.int64)
-        edit(table)
-        xw = np.multiply.outer(np.arange(1024), np.arange(1025))
-        assert (np.abs(table * 1024 - xw)[[0, 1023]].sum(axis=1) > 1 << 31).all()
+        def errors(edit):
+            table = prefix_ones_table(10, np.arange(1025)).astype(np.int64)
+            edit(table)
+            return np.abs(table * 1024 - np.multiply.outer(np.arange(1024), np.arange(1025)))
+
+        assert (errors(edit)[[0, 1023]].sum(axis=1) > 1 << 31).all()
         assert _edited_table_mismatches(monkeypatch, edit) == 2 * 1025
+
+        # row 0 at 2048 errs by 2**21 at every w, and the rest of its block by far less:
+        # the guard's top * (2**10 + 1) = 2**31 + 2**21 lies in [2**31, 2**32), and so
+        # does row 0's sum. A guard at 2**32, or at top * (2**10 - 1), sums it in int32
+        # and wraps. 2**10 + 1 is odd and above 1, so top * (2**10 + 1) is never 2**31
+        # itself, and "<=" in place of "<" picks the same type
+        def row0(table):
+            table[0] = 2048
+
+        err = errors(row0)
+        assert err[0].tolist() == [1 << 21] * 1025 and err[1:].max() < 1 << 12
+        assert 1 << 31 < int(err[0].sum()) == (1 << 31) + (1 << 21) < 1 << 32
+        assert _edited_table_mismatches(monkeypatch, row0) == 1025
 
     @pytest.mark.parametrize("shift", [1, -1])
     def test_rows_of_streams_one_cycle_off(self, monkeypatch, shift):
