@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -53,8 +54,6 @@ def parse_mask(spec: str) -> FrequencyMask:
             return FrequencyMask.lowpass(int(k))
         except ValueError as e:
             raise ValueError(f"mask spec {spec!r}: {e}") from None
-    if spec == "lowpass":
-        return FrequencyMask.lowpass()
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         if not path:
@@ -97,6 +96,12 @@ def _fold_seed(seed: int, width: int) -> int:
     return (seed - 1) % ((1 << width) - 1) + 1
 
 
+def _refuse_report_over(report, images) -> None:
+    for flag, path in images:  # else the CSV replaces the image; realpath returns on a loop
+        if report and os.path.realpath(report) == os.path.realpath(path):
+            raise ValueError(f"--report and {flag} name the same file: {path}")
+
+
 def _finite_rows(header: str, rows):
     """rows, refused if finite inputs overflowed a platform number in one (PSNR may be inf)."""
     for row in rows:
@@ -120,8 +125,7 @@ def _metric_row(cfg: PlatformConfig, b: int, freq: float, psnr_db: float):
 
 
 def cmd_compress(args) -> int:
-    if args.report and args.report.resolve() == args.output.resolve():  # else the CSV replaces it
-        raise ValueError(f"--report and --out name the same file: {args.output}")
+    _refuse_report_over(args.report, [("--in", args.input), ("--out", args.output)])
     # bands stream from the input through the pipeline into an output that appears only whole
     with pgm_reader(args.input) as (width, height, bands):
         mask = parse_mask(args.mask)
@@ -145,6 +149,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _refuse_report_over(args.report, [("--in", args.input)])
     with pgm_reader(args.input) as (width, _, bands):
         mask = parse_mask(args.mask)
         cfg = load_platform(args.platform)

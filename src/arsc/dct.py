@@ -100,7 +100,7 @@ class FrequencyMask:
         return cls(np.ones((N, N), dtype=np.int64))
 
     @classmethod
-    def lowpass(cls, k: int = 4) -> "FrequencyMask":
+    def lowpass(cls, k: int) -> "FrequencyMask":
         """Zonal low-pass: keep coefficients with both indices below k."""
         if not 1 <= k <= N:
             raise ValueError(f"lowpass corner {k} out of range 1..8")

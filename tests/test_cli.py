@@ -277,7 +277,9 @@ class TestAging:
         rc = main(["aging", "--target", "1e6", "--years", "2", "--report", str(rep)])
         assert rc == 0
         lines = rep.read_text().splitlines()
-        assert all(ln.endswith("no") for ln in lines[1:])
+        # one row per year, 0..2, every one flagged
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1", "2"]
+        assert all(ln.endswith(",no") for ln in lines[1:])
 
     @pytest.mark.parametrize("target", ["7.19", "9", "1e6"])
     @pytest.mark.parametrize("calibrated", [False, True], ids=["bundled", "calibrated"])
@@ -799,6 +801,40 @@ class TestOutputPaths:
         if exists:
             assert (tmp_path / "o.pgm").read_bytes() == b"old"
 
+    @pytest.mark.parametrize("report", ["in.pgm", "./in.pgm", "sub/../in.pgm", "{tmp}/in.pgm",
+                                        "link.pgm"])
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_report_and_in_the_same_file_refused(self, tmp_path, small_image, capsys,
+                                                 monkeypatch, command, report):
+        # else the CSV report would replace the input image
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.pgm").symlink_to(small_image)
+        data, before = small_image.read_bytes(), sorted(tmp_path.rglob("*"))
+        out = ["--out", "o.pgm"] if command == "compress" else []
+        rc = main([command, "--in", "in.pgm", *out, "--report", report.format(tmp=tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: --report and --in name the same file: in.pgm\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert small_image.read_bytes() == data
+
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_looping_in_path_with_a_report_is_one_error_line(self, tmp_path, capsys,
+                                                             monkeypatch, command):
+        # comparing --report with a symlink loop raises no error of its own: opening --in does
+        monkeypatch.chdir(tmp_path)
+        Path("loop.pgm").symlink_to("loop.pgm")
+        out = ["--out", "o.pgm"] if command == "compress" else []
+        rc = main([command, "--in", "loop.pgm", *out, "--report", "r.csv"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "loop.pgm" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["loop.pgm"]
+
 
 # the tile transforms of the benchmark's 1024x1024 image, keyed as in golden.json
 TILE_TRANSFORMS = {
@@ -1071,7 +1107,9 @@ class TestMaskParsing:
     def test_specs(self):
         assert int(parse_mask("allpass").m.sum()) == 64
         assert int(parse_mask("lowpass:2").m.sum()) == 4
-        assert int(parse_mask("lowpass").m.sum()) == 16
+        # the corner is never implied
+        with pytest.raises(ValueError, match=r"^unknown mask spec 'lowpass' "):
+            parse_mask("lowpass")
 
     def test_file_mask(self, tmp_path):
         p = tmp_path / "mask.txt"
@@ -1080,11 +1118,13 @@ class TestMaskParsing:
         assert int(m.m.sum()) == 1 and m.m[0, 0] == 1
 
     def test_file_mask_spaced(self, tmp_path):
-        # any whitespace separates the digits
+        # any whitespace separates the digits: the same entries as written together, on a
+        # mask that no flip or transpose maps to itself
         p = tmp_path / "mask.txt"
-        for sep in (" ", "\t"):
-            p.write_text(sep.join("11000000") + "\n" + (sep.join("00000000") + "\n") * 7)
-            assert int(parse_mask(f"file:{p}").m.sum()) == 2, repr(sep)
+        want = np.random.default_rng(5).integers(0, 2, size=(8, 8)).tolist()
+        for sep in ("", " ", "\t"):
+            p.write_text("".join(sep.join(map(str, row)) + "\n" for row in want))
+            assert parse_mask(f"file:{p}").m.tolist() == want, repr(sep)
 
     def test_file_mask_with_utf8_bom(self, tmp_path):
         # some editors start a text file with a byte-order mark
