@@ -96,10 +96,18 @@ def _fold_seed(seed: int, width: int) -> int:
     return (seed - 1) % ((1 << width) - 1) + 1
 
 
-def _refuse_report_over(report, images) -> None:
-    for flag, path in images:  # else the CSV replaces the image; realpath returns on a loop
-        if report and os.path.realpath(report) == os.path.realpath(path):
-            raise ValueError(f"--report and {flag} name the same file: {path}")
+def _refuse_overwrites(args) -> None:
+    """Refuse an output (--out, --report) that names a file listed before it, which it would
+    replace. --in follows --out, which may name it: compress runs in place."""
+    get, mask = vars(args).get, getattr(args, "mask", "")
+    files = [(flag, path, os.path.realpath(path)) for flag, path in [  # realpath returns on a loop
+        ("--platform", get("platform")), ("--rows", get("rows")),
+        ("--mask", mask.startswith("file:") and mask[5:]), ("--out", get("output") or get("out")),
+        ("--in", get("input")), ("--report", get("report"))] if path]
+    for i, (flag, _, real) in enumerate(files):
+        for other, path, other_real in files[:i]:
+            if flag in ("--out", "--report") and real == other_real:
+                raise ValueError(f"{flag} and {other} name the same file: {path}")
 
 
 def _finite_rows(header: str, rows):
@@ -125,7 +133,6 @@ def _metric_row(cfg: PlatformConfig, b: int, freq: float, psnr_db: float):
 
 
 def cmd_compress(args) -> int:
-    _refuse_report_over(args.report, [("--in", args.input), ("--out", args.output)])
     # bands stream from the input through the pipeline into an output that appears only whole
     with pgm_reader(args.input) as (width, height, bands):
         mask = parse_mask(args.mask)
@@ -149,7 +156,6 @@ def cmd_compress(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _refuse_report_over(args.report, [("--in", args.input)])
     with pgm_reader(args.input) as (width, _, bands):
         mask = parse_mask(args.mask)
         cfg = load_platform(args.platform)
@@ -333,6 +339,7 @@ def main(argv=None) -> int:
     # built (a wrapper that times it, say) is the one that runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _refuse_overwrites(args)  # before any work
         return command(args)
     except CalibrationError as e:
         print(f"calibration error: {e}", file=sys.stderr)

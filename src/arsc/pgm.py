@@ -85,7 +85,9 @@ def pgm_writer(path, width: int, height: int):
     """A function writing a binary PGM file's raster in row bands, top to bottom, to a
     temporary file beside the resolved path. It replaces the path when the with block
     ends without an exception, and is removed on any failure."""
-    path = Path(path).resolve()
+    path = Path(os.path.realpath(path))  # Path.resolve raises RuntimeError on a loop in 3.11
+    if path.is_symlink():  # realpath leaves only a symlink loop unresolved
+        raise ValueError(f"{path} is a symlink loop")
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:

@@ -11,7 +11,7 @@ down-counter runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,29 +90,11 @@ class LfsrConfig:
             )
 
 
-def lfsr_step(state: int, cfg: LfsrConfig) -> int:
-    """Advance the register by one cycle. The all-zero state is rejected."""
-    if not 0 < state < (1 << cfg.width):
-        raise ValueError(f"LFSR state {state} out of range (lock-up at zero)")
-    feedback = 0
-    for tap in cfg.taps:
-        feedback ^= (state >> (tap - 1)) & 1
-    return ((state << 1) | feedback) & ((1 << cfg.width) - 1)
-
-
-def lfsr_states(cfg: LfsrConfig, count: int) -> Iterator[int]:
-    """Yield ``count`` successive states, starting from the seed."""
-    state = cfg.seed
-    for _ in range(count):
-        yield state
-        state = lfsr_step(state, cfg)
-
-
 def lfsr_states_array(cfg: LfsrConfig, count: int) -> np.ndarray:
-    """``lfsr_states(cfg, count)`` as an intp array: the next-state table of
-    every register value, built at once, walked by doubling. States [k, 2k)
-    are the k-step successors of states [0, k), and the k-step table composed
-    with itself steps 2k."""
+    """The first ``count`` register states from the seed, as an intp array: the
+    next-state table of every register value (the tap bits' XOR shifted in),
+    built at once, walked by doubling. States [k, 2k) are the k-step successors
+    of states [0, k), and the k-step table composed with itself steps 2k."""
     state = np.arange(1 << cfg.width)
     feedback = sum((state >> (tap - 1)) & 1 for tap in cfg.taps) & 1
     jump = ((state << 1) | feedback) & ((1 << cfg.width) - 1)
@@ -147,21 +129,29 @@ class BitStream:
         return self.word.bit_count()
 
 
+def _pack(bits: np.ndarray) -> BitStream:
+    """The stream whose bit i is bits[i] != 0."""
+    return BitStream(bits.size, int.from_bytes(np.packbits(bits, bitorder="little"), "little"))
+
+
 def sng_conventional(x: UnsignedFixed, length: int, cfg: LfsrConfig) -> BitStream:
     """LFSR-plus-comparator stream generator.
 
     Bit i is 1 iff the i-th LFSR state (starting at the seed) is below
     x.raw. Deterministic for a given seed.
     """
-    if length < 2 or length & (length - 1):
-        raise ValueError(f"stream length must be a power of two, got {length}")
     if x.width != cfg.width:
         raise ValueError(f"operand width {x.width} != LFSR width {cfg.width}")
-    word = 0
-    for i, state in enumerate(lfsr_states(cfg, length)):
-        if state < x.raw:
-            word |= 1 << i
-    return BitStream(length, word)
+    return _pack(lfsr_states_array(cfg, length) < x.raw)
+
+
+def _placement_shifts(n: int) -> np.ndarray:
+    """At cycle c = 1..2**n the deterministic stream of an n-bit x emits
+    ``x >> shift[c-1] & 1``: x_{n-1-ctz(c)}, and 0 at c = 2**n, where the shift is n."""
+    shift = np.full(1 << n, n, dtype=np.int16)
+    for j in range(n):  # the cycles c with ctz(c) = j
+        shift[(1 << j) - 1::2 << j] = n - 1 - j
+    return shift
 
 
 def sng_deterministic(x: UnsignedFixed) -> BitStream:
@@ -176,12 +166,7 @@ def sng_deterministic(x: UnsignedFixed) -> BitStream:
     n = x.width
     if x.raw >= (1 << n):
         raise ValueError("operand must be < 1.0 for deterministic generation")
-    word = 0
-    for cycle in range(1, (1 << n) + 1):
-        ctz = (cycle & -cycle).bit_length() - 1
-        if ctz < n and (x.raw >> (n - 1 - ctz)) & 1:
-            word |= 1 << (cycle - 1)
-    return BitStream(1 << n, word)
+    return _pack(x.raw >> _placement_shifts(n).astype(np.int64) & 1)  # raw may pass int16
 
 
 def unary_gen(w_s: int, length: int) -> BitStream:
@@ -262,8 +247,10 @@ def verify_multiplier(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
     The count of each ``sng_deterministic`` stream ANDed with ``unary_gen(w)`` must
     equal the product p, ``prefix_ones_table``. The conventional count c[x, w] =
     #{i : sx_i < x and sw_i < w} is that of two ANDed ``sng_conventional`` streams.
-    Operands run in blocks of VERIFY_ROWS, with streams and counts in int16 and errors
-    in int32, summed by int32 rows (int64 rows where a block's errors could overflow).
+    The kernel and those generators read one LFSR walk, ``lfsr_states_array``, and one
+    placement rule, ``_placement_shifts``. Operands run in blocks of VERIFY_ROWS, with
+    streams and counts in int16 and errors in int32, summed by int32 rows (int64 rows
+    where a block's errors could overflow).
     """
     if (n := cfg_x.width) != cfg_w.width:
         raise ValueError(f"LFSR widths {n}, {cfg_w.width} differ")
@@ -271,9 +258,7 @@ def verify_multiplier(cfg_x: LfsrConfig, cfg_w: LfsrConfig) -> MultiplierCheck:
     w = np.arange(size + 1, dtype=np.int32)
     w16 = w.astype(np.int16)  # every operand and LFSR state is at most 2**10
     product = prefix_ones_table(n, w)
-    shift = np.full(size, n, dtype=np.int16)  # at cycle c stream x emits x >> shift[c-1] & 1:
-    for j in range(n):  # x_{n-1-j} at the cycles c with ctz(c) = j, and 0 at c = 2**n
-        shift[(1 << j) - 1::2 << j] = n - 1 - j
+    shift = _placement_shifts(n)
     # samples sorted by x-state: c[x] counts sw_i < w over the first k[x] of them
     sx = lfsr_states_array(cfg_x, size)
     order = np.argsort(sx, kind="stable")

@@ -51,12 +51,12 @@ from arsc.sc_core import (
     UnsignedFixed,
     and_multiply,
     cbsc_multiply,
-    lfsr_states,
     sng_conventional,
     sng_deterministic,
     stream_to_binary,
     unary_gen,
 )
+from test_sc_core import lfsr_states
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -540,7 +540,7 @@ class TestVerifyMul:
             p = sum(((x >> j) & 1) * ((w + (1 << (n - 1 - j))) >> (n - j)) for j in range(n))
             cbsc = np.abs(p / 2**n - x * w / 4**n)
             # AND counts of the LFSR streams as one exact float32 matrix product
-            states = [np.array(list(lfsr_states(cfg, size)))
+            states = [np.array(lfsr_states(cfg, size))
                       for cfg in (LfsrConfig(n, seed=_fold_seed(seed, n)),
                                   LfsrConfig(n, ALTERNATE_TAPS[n],
                                              seed=_fold_seed(seed ^ 0x5A5A5A, n)))]
@@ -747,6 +747,29 @@ class TestCommandLine:
         assert [p.name for p in tmp_path.iterdir()] == ["ref.pgm"]
 
 
+# an output of the command ({output}) naming its input in.pgm: (argv, the two flags in the
+# error, in.pgm's content, or "" to keep the image or "platform" for the bundled platform)
+SAME_FILE_CASES = {
+    "compress": (["compress", "--in", "in.pgm", "--out", "o.pgm", "--report", "{output}"],
+                 "--report and --in", ""),
+    "sweep": (["sweep", "--in", "in.pgm", "--report", "{output}"], "--report and --in", ""),
+    "calibrate-rows": (["calibrate", "--rows", "in.pgm", "--out", "{output}"],
+                       "--out and --rows", ROWS_CSV),
+    "sweep-mask": (["sweep", "--in", "img.pgm", "--mask", "file:in.pgm", "--report", "{output}"],
+                   "--report and --mask", "11110000\n" * 8),
+    "compress-mask": (["compress", "--in", "img.pgm", "--mask", "file:in.pgm", "--out", "{output}"],
+                      "--out and --mask", "11110000\n" * 8),
+    "aging-platform": (["aging", "--platform", "in.pgm", "--report", "{output}"],
+                       "--report and --platform", "platform"),
+    "compress-platform": (["compress", "--in", "img.pgm", "--platform", "in.pgm", "--out", "o.pgm",
+                           "--report", "{output}"], "--report and --platform", "platform"),
+    "sweep-platform": (["sweep", "--in", "img.pgm", "--platform", "in.pgm", "--report", "{output}"],
+                       "--report and --platform", "platform"),
+    "compress-platform-out": (["compress", "--in", "img.pgm", "--platform", "in.pgm",
+                               "--out", "{output}"], "--out and --platform", "platform"),
+}
+
+
 class TestOutputPaths:
     """An output path that cannot be a file is refused before any work."""
 
@@ -801,22 +824,27 @@ class TestOutputPaths:
         if exists:
             assert (tmp_path / "o.pgm").read_bytes() == b"old"
 
-    @pytest.mark.parametrize("report", ["in.pgm", "./in.pgm", "sub/../in.pgm", "{tmp}/in.pgm",
+    @pytest.mark.parametrize("output", ["in.pgm", "./in.pgm", "sub/../in.pgm", "{tmp}/in.pgm",
                                         "link.pgm"])
-    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    @pytest.mark.parametrize("case", list(SAME_FILE_CASES))
     def test_report_and_in_the_same_file_refused(self, tmp_path, small_image, capsys,
-                                                 monkeypatch, command, report):
-        # else the CSV report would replace the input image
+                                                 monkeypatch, case, output):
+        # else the output would replace the input; each case's input is in.pgm
+        argv, flags, content = SAME_FILE_CASES[case]
         monkeypatch.chdir(tmp_path)
+        Path("img.pgm").write_bytes(small_image.read_bytes())
+        if content == "platform":
+            save_platform(default_platform(), small_image)
+        elif content:
+            small_image.write_text(content)
         (tmp_path / "sub").mkdir()
         (tmp_path / "link.pgm").symlink_to(small_image)
         data, before = small_image.read_bytes(), sorted(tmp_path.rglob("*"))
-        out = ["--out", "o.pgm"] if command == "compress" else []
-        rc = main([command, "--in", "in.pgm", *out, "--report", report.format(tmp=tmp_path)])
+        rc = main([a.format(output=output.format(tmp=tmp_path)) for a in argv])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == "error: --report and --in name the same file: in.pgm\n"
+        assert captured.err == f"error: {flags} name the same file: in.pgm\n"
         assert sorted(tmp_path.rglob("*")) == before
         assert small_image.read_bytes() == data
 
@@ -834,6 +862,20 @@ class TestOutputPaths:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "loop.pgm" in captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["loop.pgm"]
+
+    def test_looping_out_path_is_one_error_line(self, tmp_path, small_image, capsys,
+                                                 monkeypatch):
+        # realpath leaves a symlink loop unresolved, and pgm_writer refuses what it leaves
+        monkeypatch.chdir(tmp_path)
+        Path("loop.pgm").symlink_to("loop.pgm")
+        rc = main(["compress", "--in", str(small_image), "--out", "loop.pgm"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith("loop.pgm is a symlink loop\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "loop.pgm"]
+        assert os.readlink("loop.pgm") == "loop.pgm"
 
 
 # the tile transforms of the benchmark's 1024x1024 image, keyed as in golden.json

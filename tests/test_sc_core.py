@@ -15,9 +15,7 @@ from arsc.sc_core import (
     UnsignedFixed,
     and_multiply,
     cbsc_multiply,
-    lfsr_states,
     lfsr_states_array,
-    lfsr_step,
     prefix_ones,
     prefix_ones_table,
     sng_conventional,
@@ -28,19 +26,39 @@ from arsc.sc_core import (
 )
 
 
+def lfsr_step(state: int, cfg: LfsrConfig) -> int:
+    """The register one cycle on, bit by bit: the XOR of the tap bits shifts in.
+    The oracle of ``lfsr_states_array``'s next-state table."""
+    feedback = 0
+    for tap in cfg.taps:
+        feedback ^= (state >> (tap - 1)) & 1
+    return ((state << 1) | feedback) & ((1 << cfg.width) - 1)
+
+
+def lfsr_states(cfg: LfsrConfig, count: int) -> list[int]:
+    """``count`` successive ``lfsr_step`` states, starting from the seed."""
+    states = [cfg.seed]
+    while len(states) < count:
+        states.append(lfsr_step(states[-1], cfg))
+    return states[:count]
+
+
+def _seed_configs(width: int) -> list[LfsrConfig]:
+    """Both tap sets at the seed classes the tests use: seed 1, the top state, and
+    seeds folded as verify-mul folds them."""
+    size = 1 << width
+    seeds = {1, size - 1, (1000 - 1) % (size - 1) + 1, ((1000 ^ 0x5A5A5A) - 1) % (size - 1) + 1}
+    return [LfsrConfig(width, taps, seed) for taps in (MAXIMAL_TAPS[width], ALTERNATE_TAPS[width])
+            for seed in sorted(seeds)]
+
+
 class TestLfsr:
     def test_width3_full_cycle_enumerated(self):
         # hand-enumerated 7-state cycle for taps (3, 2), seed 1
         cfg = LfsrConfig(3)
-        assert list(lfsr_states(cfg, 8)) == [1, 2, 5, 3, 7, 6, 4, 1]
+        assert lfsr_states(cfg, 8) == [1, 2, 5, 3, 7, 6, 4, 1]
 
     def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            lfsr_step(0, LfsrConfig(3))
-        # and so is a state past the register: 2**3 = 8 at width 3, while 7 steps on
-        with pytest.raises(ValueError, match="^LFSR state 8 out of range"):
-            lfsr_step(8, LfsrConfig(3))
-        assert lfsr_step(7, LfsrConfig(3)) == 6
         with pytest.raises(ValueError):
             LfsrConfig(3, seed=0)
 
@@ -70,19 +88,16 @@ class TestLfsr:
 
     @pytest.mark.parametrize("width", sorted(MAXIMAL_TAPS))
     def test_states_array_matches_scalar_walk(self, width):
-        # the seed classes the tests use: seed 1, the top state, seeds folded as
-        # verify-mul folds them, and taps that are not primitive
+        # the seed classes the tests use, and taps that are not primitive
         size = 1 << width
-        seeds = {1, size - 1, (1000 - 1) % (size - 1) + 1, ((1000 ^ 0x5A5A5A) - 1) % (size - 1) + 1}
-        cfgs = [LfsrConfig(width, taps, seed) for taps in (MAXIMAL_TAPS[width], ALTERNATE_TAPS[width])
-                for seed in sorted(seeds)]
+        cfgs = _seed_configs(width)
         cfgs += [LfsrConfig(width, taps, seed) for taps, seed in [((3, 2, 1), 7), ((4,), 5),
                                                                   ((6, 3), 1)] if taps[0] == width]
         for cfg in cfgs:
             for count in (0, 1, 5, size + 3):
                 got = lfsr_states_array(cfg, count)
                 assert got.dtype == np.intp, cfg
-                assert got.tolist() == list(lfsr_states(cfg, count)), (cfg, count)
+                assert got.tolist() == lfsr_states(cfg, count), (cfg, count)
 
     def test_bad_configs(self):
         with pytest.raises(ValueError):
@@ -141,12 +156,28 @@ class TestConventionalSng:
         assert sng_conventional(x, 64, cfg) == sng_conventional(x, 64, cfg)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^stream length must be a power of two >= 2, got 6$"):
             sng_conventional(UnsignedFixed(3, 1), 6, LfsrConfig(3))
         with pytest.raises(ValueError):
             sng_conventional(UnsignedFixed(4, 1), 8, LfsrConfig(3))
         # length 2, the shortest power of two accepted: the seed 1 is below 2, state 2 is not
         assert sng_conventional(UnsignedFixed(3, 2), 2, LfsrConfig(3)) == BitStream(2, 0b01)
+
+    @pytest.mark.parametrize("width", sorted(MAXIMAL_TAPS))
+    def test_comparator_over_stepped_states(self, width):
+        # bit i is 1 iff the stepper's i-th state is below x, for every x, also past
+        # one period: a stream of length 2**(n+2) spans more than four periods
+        size = 1 << width
+        for cfg in _seed_configs(width):
+            for length in (2, size, 4 * size):
+                at = [0] * size  # at[s]: the stream bits where the state is s
+                for i, state in enumerate(lfsr_states(cfg, length)):
+                    at[state] |= 1 << i
+                word = 0  # the bits whose state is below x
+                for x in range(size):
+                    got = sng_conventional(UnsignedFixed(width, x), length, cfg)
+                    assert got == BitStream(length, word), (cfg, length, x)
+                    word |= at[x]
 
 
 class TestDeterministicSng:
@@ -361,7 +392,7 @@ def _scalar_and_counts(cfg_x, cfg_w):
 
 
 class TestArrayBuilders:
-    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_deterministic_streams_match_scalar(self, n):
         streams = deterministic_streams(n)
         assert streams.shape == (1 << n, 1 << n)
@@ -386,7 +417,7 @@ class TestArrayBuilders:
         # holds state 7 forever, (4,) rotates, x**6 + x**3 + 1 has period 9
         n = taps[0]
         cfg_x, cfg_w = LfsrConfig(n, taps, seed_x), LfsrConfig(n, taps, seed_w)
-        assert max(np.bincount(list(lfsr_states(cfg_x, 1 << n)))) > 2
+        assert max(np.bincount(lfsr_states(cfg_x, 1 << n))) > 2
         counts = conventional_and_counts(cfg_x, cfg_w)
         assert counts.dtype == np.int32 and counts.tolist() == _scalar_and_counts(cfg_x, cfg_w)
 
