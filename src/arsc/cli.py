@@ -97,16 +97,19 @@ def _fold_seed(seed: int, width: int) -> int:
 
 
 def _refuse_overwrites(args) -> None:
-    """Refuse an output (--out, --report) that names a file listed before it, which it would
-    replace. --in follows --out, which may name it: compress runs in place."""
+    """Refuse an output (--out, --report) that is a symlink loop or names a file listed before
+    it, which it would replace. --in follows --out, which may name it: compress runs in place."""
     get, mask = vars(args).get, getattr(args, "mask", "")
     files = [(flag, path, os.path.realpath(path)) for flag, path in [  # realpath returns on a loop
         ("--platform", get("platform")), ("--rows", get("rows")),
-        ("--mask", mask.startswith("file:") and mask[5:]), ("--out", get("output") or get("out")),
+        ("--mask", mask.startswith("file:") and mask[5:]), ("--out", get("output")),
         ("--in", get("input")), ("--report", get("report"))] if path]
     for i, (flag, _, real) in enumerate(files):
+        is_output = flag in ("--out", "--report")
+        if is_output and os.path.islink(real):  # realpath leaves only a symlink loop unresolved
+            raise ValueError(f"{real} is a symlink loop")  # pgm_writer's message
         for other, path, other_real in files[:i]:
-            if flag in ("--out", "--report") and real == other_real:
+            if is_output and real == other_real:
                 raise ValueError(f"{flag} and {other} name the same file: {path}")
 
 
@@ -264,8 +267,8 @@ def cmd_calibrate(args) -> int:
     for (b, f, _, _), (cres, pres) in zip(rows, calibration_residuals(cfg, rows)):
         print(f"b={b} f={f:g}MHz: cycle_residual={cres:.2%} power_residual={pres:.2%}")
 
-    save_platform(cfg, args.out)
-    print(f"wrote: {args.out}")
+    save_platform(cfg, args.output)
+    print(f"wrote: {args.output}")
     return 0
 
 
@@ -329,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit platform models from a rows CSV")
     p.add_argument("--rows", required=True, type=Path,
                    help="CSV with bitwidth,freq_mhz,power_w,latency_s columns")
-    p.add_argument("--out", required=True, type=output_path, help="platform config to write")
+    p.add_argument("--out", dest="output", required=True, type=output_path,
+                   help="platform config to write")
     return parser
 
 

@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -157,14 +157,22 @@ def _check_residuals(what: str, labels, residuals) -> None:
         raise CalibrationError(f"{what} fit residuals exceed 5%: {detail}")
 
 
-def _fit_line(what: str, x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+def _fit(what: str, x: Sequence[float], y: Sequence[float], model):
+    """model(slope, intercept) of the least-squares line through (x, y); the model
+    refuses any coefficient it does not accept. An intercept in [-1e-6 * max(y), 0)
+    is rounding (two exact rows can land imperceptibly below zero) and becomes 0."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflowing or rank-deficient fit is refused
             slope, intercept = np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)
     except Warning as e:
         raise CalibrationError(f"{what} fit failed: {e}") from None
-    return float(slope), float(intercept)
+    if -1e-6 * max(y) <= intercept < 0:
+        intercept = 0.0
+    try:
+        return model(float(slope), float(intercept))
+    except ValueError as e:
+        raise CalibrationError(f"{what} fit refused: {e}") from None
 
 
 def calibrate_cycles(rows: Sequence[tuple[int, float, float]]) -> CycleModel:
@@ -191,13 +199,7 @@ def calibrate_cycles(rows: Sequence[tuple[int, float, float]]) -> CycleModel:
     if not all(0 < c < math.inf for c in cycles):
         raise CalibrationError("latencies must be positive and finite")
 
-    c_sc, c_ovh = _fit_line("cycle", x, cycles)
-    if c_sc <= 0:
-        raise CalibrationError(f"fit produced non-increasing cycle model (c_sc={c_sc:.4g})")
-    # two exact rows can land imperceptibly below zero
-    if c_ovh < -1e-6 * max(cycles):
-        raise CalibrationError(f"fit produced negative overhead (c_ovh={c_ovh:.4g})")
-    model = CycleModel(c_sc, max(c_ovh, 0.0))
+    model = _fit("cycle", x, cycles, CycleModel)
     _check_residuals("cycle", [f"b={b}" for b in bits], cycle_residuals(model, rows))
     return model
 
@@ -223,12 +225,7 @@ def calibrate_power(rows: Sequence[tuple[float, float]]) -> PowerModel:
     if len(set(freqs)) < 2:
         raise CalibrationError("power rows must cover at least two distinct frequencies")
 
-    p_dyn, p_static = _fit_line("power", freqs, watts)
-    if p_dyn <= 0:
-        raise CalibrationError(f"fit produced non-increasing power model (p_dyn={p_dyn:.4g})")
-    if p_static < -1e-9:
-        raise CalibrationError(f"fit produced negative static power ({p_static:.4g})")
-    model = PowerModel(max(p_static, 0.0), p_dyn)
+    model = _fit("power", freqs, watts, lambda p_dyn, p_static: PowerModel(p_static, p_dyn))
     _check_residuals("power", [f"f={f:g}MHz" for f in freqs], power_residuals(model, rows))
     return model
 
@@ -331,20 +328,18 @@ def default_aging_schedule() -> AgingSchedule:
     return default_platform().schedule
 
 
+# each model's config-file section (its PlatformConfig field): its class and the key
+# of each coefficient, in the model's field order
+_FILE_KEYS = {"cycle_model": (CycleModel, ("c_sc_cycles", "c_ovh_cycles")),
+              "power_model": (PowerModel, ("p_static_w", "p_dyn_w_per_mhz"))}
+
+
 def save_platform(cfg: PlatformConfig, path) -> None:
     """Write cfg as a platform config file; non-finite values are refused."""
-    doc = {
-        "cycle_model": {
-            "c_sc_cycles": cfg.cycle_model.c_sc,
-            "c_ovh_cycles": cfg.cycle_model.c_ovh,
-        },
-        "power_model": {
-            "p_static_w": cfg.power_model.p_static,
-            "p_dyn_w_per_mhz": cfg.power_model.p_dyn,
-        },
-        "base_freq_mhz": cfg.base_freq_mhz,
-        "aging_anchors_years_mhz": [list(a) for a in cfg.schedule.anchors],
-    }
+    doc = {name: dict(zip(keys, astuple(getattr(cfg, name))))
+           for name, (_, keys) in _FILE_KEYS.items()}
+    doc["base_freq_mhz"] = cfg.base_freq_mhz
+    doc["aging_anchors_years_mhz"] = [list(a) for a in cfg.schedule.anchors]
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
@@ -383,12 +378,11 @@ def load_platform(path=None) -> PlatformConfig:
         return default_platform()
     try:
         doc = _typed(json.loads(Path(path).read_text(encoding="utf-8")), dict, "top level")
-        cm = _typed(doc["cycle_model"], dict, "cycle_model")
-        pm = _typed(doc["power_model"], dict, "power_model")
+        models = {name: _typed(doc[name], dict, name) for name in _FILE_KEYS}
         anchors = "aging_anchors_years_mhz"
         return PlatformConfig(
-            cycle_model=CycleModel(*(_number(cm[k], k) for k in ("c_sc_cycles", "c_ovh_cycles"))),
-            power_model=PowerModel(*(_number(pm[k], k) for k in ("p_static_w", "p_dyn_w_per_mhz"))),
+            **{name: model(*(_number(models[name][k], k) for k in keys))
+               for name, (model, keys) in _FILE_KEYS.items()},
             schedule=AgingSchedule(
                 tuple(_anchor(a, anchors) for a in _typed(doc[anchors], list, anchors))),
             base_freq_mhz=_number(doc["base_freq_mhz"], "base_freq_mhz"),

@@ -70,6 +70,32 @@ ROWS_CSV = (
 )
 
 
+# what calibrate writes for ROWS_CSV, the published table
+PUBLISHED_PLATFORM_JSON = (
+    '{\n'
+    '  "cycle_model": {\n'
+    '    "c_sc_cycles": 11358.633652553768,\n'
+    '    "c_ovh_cycles": 274954.1666666648\n'
+    '  },\n'
+    '  "power_model": {\n'
+    '    "p_static_w": 0.057660686477910075,\n'
+    '    "p_dyn_w_per_mhz": 0.0027323825922655597\n'
+    '  },\n'
+    '  "base_freq_mhz": 85.7,\n'
+    '  "aging_anchors_years_mhz": [\n'
+    '    [\n'
+    '      0.0,\n'
+    '      85.7\n'
+    '    ],\n'
+    '    [\n'
+    '      10.0,\n'
+    '      75.7\n'
+    '    ]\n'
+    '  ]\n'
+    '}\n'
+)
+
+
 @pytest.fixture
 def ref_pgm(tmp_path):
     p = tmp_path / "ref.pgm"
@@ -865,7 +891,7 @@ class TestOutputPaths:
 
     def test_looping_out_path_is_one_error_line(self, tmp_path, small_image, capsys,
                                                  monkeypatch):
-        # realpath leaves a symlink loop unresolved, and pgm_writer refuses what it leaves
+        # realpath leaves a symlink loop unresolved, and the CLI refuses what it leaves
         monkeypatch.chdir(tmp_path)
         Path("loop.pgm").symlink_to("loop.pgm")
         rc = main(["compress", "--in", str(small_image), "--out", "loop.pgm"])
@@ -876,6 +902,29 @@ class TestOutputPaths:
         assert captured.err.endswith("loop.pgm is a symlink loop\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "loop.pgm"]
         assert os.readlink("loop.pgm") == "loop.pgm"
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "--in", "in.pgm", "--out", "o.pgm", "--report", "loop.csv"],
+        ["sweep", "--in", "in.pgm", "--report", "loop.csv"],
+        ["aging", "--years", "1", "--report", "loop.csv"],
+        ["verify-mul", "--max-n", "3", "--report", "loop.csv"],
+        ["calibrate", "--rows", "rows.csv", "--out", "loop.json"],
+    ], ids=lambda argv: argv[0])
+    def test_looping_output_refused_before_any_work(self, tmp_path, small_image, capsys,
+                                                     monkeypatch, argv):
+        # else the run prints its rows and writes its other outputs before the last one fails
+        monkeypatch.chdir(tmp_path)
+        Path("rows.csv").write_text(ROWS_CSV)
+        loop = Path(argv[-1])
+        loop.symlink_to(loop.name)
+        before = sorted(tmp_path.iterdir())
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {os.path.realpath(loop)} is a symlink loop\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert os.readlink(loop) == loop.name
 
 
 # the tile transforms of the benchmark's 1024x1024 image, keyed as in golden.json
@@ -1108,6 +1157,14 @@ class TestCalibrate:
         assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 0
         assert sorted(json.loads(cfg_path.read_text())) == [
             "aging_anchors_years_mhz", "base_freq_mhz", "cycle_model", "power_model"]
+
+    def test_calibrate_writes_the_published_file(self, tmp_path):
+        # every byte: key names and order, layout, and each coefficient to the last bit
+        rows = tmp_path / "rows.csv"
+        rows.write_text(ROWS_CSV)
+        cfg_path = tmp_path / "platform.json"
+        assert main(["calibrate", "--rows", str(rows), "--out", str(cfg_path)]) == 0
+        assert cfg_path.read_text() == PUBLISHED_PLATFORM_JSON
 
     def test_published_rows_match_bundled_defaults(self, tmp_path):
         rows = tmp_path / "rows.csv"

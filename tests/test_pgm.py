@@ -22,6 +22,17 @@ def test_round_trip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_write_to_a_symlink_loop_refused(tmp_path):
+    # the CLI refuses a looping output before any work; a library caller meets this check
+    loop = tmp_path / "loop.pgm"
+    loop.symlink_to(loop.name)
+    message = f"^{re.escape(os.path.realpath(loop))} is a symlink loop$"
+    with pytest.raises(ValueError, match=message):
+        write_pgm(GrayImage(np.zeros((8, 8), np.uint8)), loop)
+    assert sorted(tmp_path.iterdir()) == [loop]
+    assert os.readlink(loop) == loop.name
+
+
 def test_comments_and_whitespace(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5 # magic\n# a comment line\n 2\t3 # dims\n255\n" + bytes(6))

@@ -91,13 +91,15 @@ class TestCalibrateCycles:
             calibrate_cycles([(10, -85.7, 0.139), (6, 7.1, 0.012)])
 
     def test_latency_falling_with_bitwidth_rejected(self):
-        with pytest.raises(CalibrationError, match="^fit produced non-increasing cycle model"):
+        message = r"^cycle fit refused: c_sc must be positive and finite, got -11337\.3958\d*$"
+        with pytest.raises(CalibrationError, match=message):
             calibrate_cycles([(10, 85.7, 0.012), (6, 7.1, 0.139)])
 
     def test_negative_overhead_rejected(self):
         # cycles = 1000 * 2**b - 500000 at a 1 MHz base clock
         rows = [(b, 1.0, (1000 * 2**b - 500000) / 1e6) for b in (10, 9)]
-        message = r"^fit produced negative overhead \(c_ovh=-5e\+05\)$"
+        message = (r"^cycle fit refused: c_ovh must be >= 0 and finite, "
+                   r"got -(499999\.9999\d*|500000\.0\d*)$")
         with pytest.raises(CalibrationError, match=message):
             calibrate_cycles(rows)
 
@@ -150,13 +152,31 @@ class TestCalibratePower:
             calibrate_power([(50.0, 0.2), (50.0, 0.3)])
 
     def test_power_falling_with_frequency_rejected(self):
-        with pytest.raises(CalibrationError, match="^fit produced non-increasing power model"):
+        message = r"^power fit refused: p_dyn must be positive and finite, got -0\.0028571428\d*$"
+        with pytest.raises(CalibrationError, match=message):
             calibrate_power([(10, 0.3), (80, 0.1)])
 
     def test_negative_static_power_rejected(self):
-        message = r"^fit produced negative static power \(-0\.01\)$"
+        message = (r"^power fit refused: p_static must be >= 0 and finite, "
+                   r"got -0\.(00999999\d*|010000\d*|01)$")
         with pytest.raises(CalibrationError, match=message):
             calibrate_power([(10, 0.01), (20, 0.03)])
+
+    def test_intercept_rounding_clamped_to_zero(self):
+        # the rounding tolerance is 1e-6 of the largest reading, 0.27 W: 2.7e-7 W
+        truth = PowerModel(0.0, 0.003)
+        rows = [(f, truth.power(f) - 1e-8) for f in (10.0, 40.0, 90.0)]
+        got = calibrate_power(rows)
+        assert got.p_static == 0.0
+        assert got.p_dyn == pytest.approx(0.003, rel=1e-9)
+
+    def test_intercept_beyond_rounding_refused(self):
+        truth = PowerModel(0.0, 0.003)
+        rows = [(f, truth.power(f) - 1e-6) for f in (10.0, 40.0, 90.0)]
+        message = (r"^power fit refused: p_static must be >= 0 and finite, "
+                   r"got -(9\.99\d*e-07|1(\.00\d*)?e-06)$")
+        with pytest.raises(CalibrationError, match=message):
+            calibrate_power(rows)
 
     def test_round_trip_within_tenth_percent(self, pm):
         rows = [(f, pm.power(f)) for f, _ in POWER_ROWS]
