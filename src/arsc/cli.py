@@ -34,7 +34,7 @@ from .platform_model import (
     select_config,
     throughput,
 )
-from .sc_core import ALTERNATE_TAPS, LfsrConfig, verify_multiplier
+from .sc_core import ALTERNATE_TAPS, MAXIMAL_TAPS, LfsrConfig, verify_multiplier
 
 REPORT_HEADER = "bitwidth,freq_mhz,power_w,psnr_db,latency_s,throughput_fps"
 AGING_HEADER = "year,freq_mhz,bitwidth,throughput_fps,feasible"
@@ -82,13 +82,26 @@ def parse_mask(spec: str) -> FrequencyMask:
     raise ValueError(f"unknown mask spec {spec!r} (allpass, lowpass:K, file:PATH)")
 
 
-def _write_report(path, header: str, rows) -> None:
-    lines = [header] + [",".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _cells(header: str, values) -> list[str]:
+    """A report row's CSV cells: a float to its column's decimal places, None as an empty
+    cell. Refused if finite inputs overflowed a platform number in it (PSNR may be inf)."""
+    places = {"freq_mhz": 4, "power_w": 6, "psnr_db": 4, "latency_s": 6, "throughput_fps": 4,
+              "cbsc_max_abs_err": 8, "cbsc_mean_abs_err": 8, "conv_mean_abs_err": 8}
+    names = header.split(",")
+    for name, v in zip(names, values):
+        if name in places and name != "psnr_db" and v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} overflows: {v} at {names[0]} {values[0]}")
+    return ["" if v is None else f"{v:.{places[name]}f}" if name in places else str(v)
+            for name, v in zip(names, values)]
 
 
-def _fmt(v: float, places: int = 6) -> str:
-    return f"{v:.{places}f}"
+def _table(header: str, rows, report, show: bool = False) -> None:
+    """Write the CSV table of rows' cells to the --report file, if any, and to stdout if show."""
+    text = "".join(line + "\n" for line in [header, *map(",".join, rows)])
+    if show:
+        sys.stdout.write(text)
+    if report:
+        Path(report).write_text(text)
 
 
 def _fold_seed(seed: int, width: int) -> int:
@@ -113,26 +126,11 @@ def _refuse_overwrites(args) -> None:
                 raise ValueError(f"{flag} and {other} name the same file: {path}")
 
 
-def _finite_rows(header: str, rows):
-    """rows, refused if finite inputs overflowed a platform number in one (PSNR may be inf)."""
-    for row in rows:
-        for name, cell in zip(header.split(","), row):
-            if cell in ("inf", "nan") and name != "psnr_db":
-                raise ValueError(f"{name} overflows: {cell} at {header.split(',')[0]} {row[0]}")
-    return rows
-
-
 def _metric_row(cfg: PlatformConfig, b: int, freq: float, psnr_db: float):
     cm = cfg.cycle_model
     latency = cm.cycles_per_frame(b) / (cfg.base_freq_mhz * 1e6)
-    return [
-        str(b),
-        _fmt(freq, 4),
-        _fmt(cfg.power_model.power(freq), 6),
-        _fmt(psnr_db, 4),
-        _fmt(latency, 6),
-        _fmt(throughput(cm, b, freq), 4),
-    ]
+    return _cells(REPORT_HEADER, [b, freq, cfg.power_model.power(freq), psnr_db, latency,
+                                  throughput(cm, b, freq)])
 
 
 def cmd_compress(args) -> int:
@@ -142,19 +140,18 @@ def cmd_compress(args) -> int:
         cfg = load_platform(args.platform)
         with pgm_writer(args.output, width, height) as write:
             [report] = band_pass(width, bands, [args.bits], mask, lambda k, y, rows: write(rows))
-            row = _metric_row(cfg, args.bits, cfg.base_freq_mhz, report.psnr_vs_reference)
-            rows = _finite_rows(REPORT_HEADER, [row] if args.report else [])  # before --out appears
+            # a report row is built, and an overflow refused, before --out appears
+            psnr = report.psnr_vs_reference
+            rows = [_metric_row(cfg, args.bits, cfg.base_freq_mhz, psnr)] if args.report else []
 
     print(f"input: {args.input} ({width}x{height})")
     print(f"bitwidth: {args.bits}  mask: {args.mask}")
-    print(f"psnr_vs_input_db: {_fmt(report.psnr_vs_input, 4)}")
-    print(f"psnr_vs_reference_db: {_fmt(report.psnr_vs_reference, 4)}")
+    print(f"psnr_vs_input_db: {report.psnr_vs_input:.4f}")
+    print(f"psnr_vs_reference_db: {report.psnr_vs_reference:.4f}")
     print(f"simulated_cycles_fixed: {report.total_cycles_fixed}")
     print(f"clamp_count: {report.clamp_count}")
     print(f"wrote: {args.output}")
-
-    if args.report:
-        _write_report(args.report, REPORT_HEADER, rows)
+    _table(REPORT_HEADER, rows, args.report)
     return 0
 
 
@@ -165,44 +162,36 @@ def cmd_sweep(args) -> int:
         # no sink: each width's rows are reduced to their errors, and no image is kept
         reports = band_pass(width, bands, BITWIDTHS, mask)
     freqs = [min_frequency_for_throughput(cfg.cycle_model, b, args.target) for b in BITWIDTHS]
-    rows = _finite_rows(REPORT_HEADER, [_metric_row(cfg, r.bitwidth, freq, r.psnr_vs_reference)
-                                        for r, freq in zip(reports, freqs)])
-    print(REPORT_HEADER)
+    rows = [_metric_row(cfg, r.bitwidth, freq, r.psnr_vs_reference)
+            for r, freq in zip(reports, freqs)]
+    _table(REPORT_HEADER, rows, args.report, show=True)
     for b, freq, row in zip(BITWIDTHS, freqs, rows):
-        print(",".join(row))
         if freq > cfg.base_freq_mhz:
-            print(f"warning: {b}-bit needs {_fmt(freq, 4)} MHz, above the "
-                  f"{_fmt(cfg.base_freq_mhz, 4)} MHz base clock", file=sys.stderr)
-
-    if args.report:
-        _write_report(args.report, REPORT_HEADER, rows)
+            print(f"warning: {b}-bit needs {row[1]} MHz, above the "
+                  f"{cfg.base_freq_mhz:.4f} MHz base clock", file=sys.stderr)
     return 0
 
 
 def cmd_aging(args) -> int:
     cfg = load_platform(args.platform)
+    first, last = cfg.schedule.span
+    years = max(0, math.floor(last)) if args.years is None else args.years
     rows = []
-    # every row is computed and checked before any is printed, so a year outside
+    # the schedule's whole years from max(0, first) to --years, and --years itself when that
+    # is earlier; every row is computed and checked before any is printed, so a year outside
     # the schedule or an overflow fails with empty stdout
-    for year in range(args.years + 1):
+    for year in range(min(max(0, math.ceil(first)), years), years + 1):
         op = select_config(cfg.cycle_model, cfg.power_model, cfg.schedule, float(year), args.target)
-        chosen = (["", "", "no"] if op.bitwidth is None
-                  else [str(op.bitwidth), _fmt(op.throughput_fps, 4), "yes"])
-        rows.append([str(year), _fmt(op.frequency_mhz, 4), *chosen])
-    _finite_rows(AGING_HEADER, rows)
-    print(AGING_HEADER)
-    for row in rows:
-        print(",".join(row))
-
-    if args.report:
-        _write_report(args.report, AGING_HEADER, rows)
+        rows.append(_cells(AGING_HEADER, [year, op.frequency_mhz, op.bitwidth, op.throughput_fps,
+                                          "no" if op.bitwidth is None else "yes"]))
+    _table(AGING_HEADER, rows, args.report, show=True)
     return 0
 
 
 def cmd_verify_mul(args) -> int:
     violations = 0
     rows = []
-    for n in range(3, args.max_n + 1):
+    for n in range(min(MAXIMAL_TAPS), args.max_n + 1):
         # conventional multiplier: two decorrelated LFSR generators
         cfg_x = LfsrConfig(n, seed=_fold_seed(args.seed, n))
         cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=_fold_seed(args.seed ^ 0x5A5A5A, n))
@@ -213,8 +202,8 @@ def cmd_verify_mul(args) -> int:
         cbsc_max = check.cbsc_max_err / 4**n
         cbsc_mean = float(check.cbsc_err_sum) / 4**n / check.pairs
         conv_mean = float(check.conv_err_sum) / 4**n / 4**n
-        rows.append([str(n), str(check.pairs), "yes" if identity_ok else "no",
-                     f"{cbsc_max:.8f}", f"{cbsc_mean:.8f}", f"{conv_mean:.8f}"])
+        rows.append(_cells(VERIFY_HEADER, [n, check.pairs, "yes" if identity_ok else "no",
+                                           cbsc_max, cbsc_mean, conv_mean]))
         print(
             f"n={n}: pairs={check.pairs} identity={'ok' if identity_ok else 'VIOLATED'} "
             f"cbsc_max_err={cbsc_max:.6f} cbsc_mean_err={cbsc_mean:.6f} "
@@ -222,8 +211,7 @@ def cmd_verify_mul(args) -> int:
             f"(cbsc<=conv: {'yes' if cbsc_mean <= conv_mean else 'no'})"
         )
 
-    if args.report:
-        _write_report(args.report, VERIFY_HEADER, rows)
+    _table(VERIFY_HEADER, rows, args.report)
     if violations:
         print(f"error: {violations} identity violations", file=sys.stderr)
         return 1
@@ -232,17 +220,19 @@ def cmd_verify_mul(args) -> int:
 
 def _read_rows_csv(path):
     """Measurement rows: CSV with bitwidth,freq_mhz,power_w,latency_s columns."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
+    # each line keeps its number in the file; blank lines are skipped
+    lines = [(lineno, ln) for lineno, ln in enumerate(
+        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty rows file {path}")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     needed = ("bitwidth", "freq_mhz", "power_w", "latency_s")
     missing = [c for c in needed if c not in header]
     if missing:
         raise ValueError(f"rows file missing columns: {', '.join(missing)}")
     idx = {c: header.index(c) for c in needed}
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         cells = [c.strip() for c in ln.split(",")]
         try:
             b, *values = (cells[idx[c]] for c in needed)
@@ -307,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", parents=[common], help="run one image through the pipeline")
     p.add_argument("--in", dest="input", required=True, type=Path, help="input PGM (P5)")
     p.add_argument("--out", dest="output", required=True, type=output_path, help="output PGM")
-    p.add_argument("--bits", type=int, choices=BITWIDTHS, default=10, help="accuracy bit-width")
+    p.add_argument("--bits", type=int, choices=BITWIDTHS, default=BITWIDTHS[0],
+                   help="accuracy bit-width")
     p.add_argument("--mask", default="lowpass:4", help="allpass | lowpass:K | file:PATH")
     p.add_argument("--platform", type=Path, help="platform config (default: bundled FPGA fit)")
 
@@ -322,11 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform", type=Path, help="platform config (default: bundled FPGA fit)")
     p.add_argument("--target", type=finite_positive_float, default=DEFAULT_TARGET_FPS,
                    help="target throughput (fps)")
-    p.add_argument("--years", type=nonnegative_int, default=10, help="last year to evaluate")
+    p.add_argument("--years", type=nonnegative_int,
+                   help="last year to evaluate (default: the schedule's last whole year)")
 
     p = sub.add_parser("verify-mul", parents=[common], help="exhaustive multiplier verification")
-    p.add_argument("--max-n", type=int, choices=range(3, 11), default=8, metavar="N",
-                   help="largest operand width to sweep (3..10)")
+    p.add_argument("--max-n", type=int, choices=MAXIMAL_TAPS, default=8, metavar="N",
+                   help="largest operand width to sweep "
+                   f"({min(MAXIMAL_TAPS)}..{max(MAXIMAL_TAPS)})")
     p.add_argument("--seed", type=int, default=1, help="LFSR seed (default 1)")
 
     p = sub.add_parser("calibrate", help="fit platform models from a rows CSV")

@@ -78,7 +78,8 @@ class LfsrConfig:
 
     def __post_init__(self):
         if self.width not in MAXIMAL_TAPS:
-            raise ValueError(f"unsupported LFSR width {self.width}; supported 3..10")
+            raise ValueError(f"unsupported LFSR width {self.width}; "
+                             f"supported {min(MAXIMAL_TAPS)}..{max(MAXIMAL_TAPS)}")
         taps = tuple(self.taps) or MAXIMAL_TAPS[self.width]
         taps = tuple(sorted(set(taps), reverse=True))
         if min(taps) < 1 or max(taps) != self.width:

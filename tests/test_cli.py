@@ -18,7 +18,6 @@ import arsc.sc_core
 from arsc.cli import (
     REPORT_HEADER,
     VERIFY_HEADER,
-    _fold_seed,
     _metric_row,
     build_parser,
     main,
@@ -46,8 +45,6 @@ from arsc.platform_model import (
 )
 from arsc.refimage import reference_image
 from arsc.sc_core import (
-    ALTERNATE_TAPS,
-    LfsrConfig,
     UnsignedFixed,
     and_multiply,
     cbsc_multiply,
@@ -56,7 +53,7 @@ from arsc.sc_core import (
     stream_to_binary,
     unary_gen,
 )
-from test_sc_core import lfsr_states
+from test_sc_core import _folded_configs, lfsr_states
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -346,6 +343,35 @@ class TestAging:
         assert captured.out == ""
         assert captured.err == f"error: malformed platform config {path}: {message}\n"
 
+    @pytest.mark.parametrize("anchors,years", [
+        ([[0, 85.7], [5, 80.7]], range(6)),
+        ([[2, 85.7], [12, 75.7]], range(2, 13)),
+        ([[-1.5, 85.7], [3.5, 80.7]], range(4)),
+    ], ids=["ends-at-5", "starts-at-2", "fractional-ends"])
+    def test_default_years_are_the_schedule_whole_years(self, tmp_path, capsys, anchors, years):
+        path = _platform_with(tmp_path, ("aging_anchors_years_mhz",), anchors)
+        rep = tmp_path / "aging.csv"
+        assert main(["aging", "--platform", str(path), "--report", str(rep)]) == 0
+        out = capsys.readouterr().out
+        assert [ln.split(",")[0] for ln in out.splitlines()[1:]] == [str(y) for y in years]
+        assert rep.read_text() == out
+
+    @pytest.mark.parametrize("anchors,flags,message", [
+        ([[2, 85.7], [12, 75.7]], ["--years", "1"], "year 1.0 outside schedule span [2.0, 12.0]"),
+        ([[0.2, 85.7], [0.8, 80.7]], [], "year 0.0 outside schedule span [0.2, 0.8]"),
+        ([[-5, 85.7], [-1, 80.7]], [], "year 0.0 outside schedule span [-5.0, -1.0]"),
+    ], ids=["years-before-the-schedule", "no-whole-year", "schedule-before-year-0"])
+    def test_no_year_in_the_schedule_prints_nothing(self, tmp_path, capsys, anchors, flags,
+                                                    message):
+        # every run prints at least one row or fails
+        path = _platform_with(tmp_path, ("aging_anchors_years_mhz",), anchors)
+        rep = tmp_path / "aging.csv"
+        assert main(["aging", "--platform", str(path), *flags, "--report", str(rep)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not rep.exists()
+
     def test_years_beyond_schedule(self):
         assert main(["aging", "--target", "7.19", "--years", "12"]) == 1
 
@@ -566,10 +592,7 @@ class TestVerifyMul:
             p = sum(((x >> j) & 1) * ((w + (1 << (n - 1 - j))) >> (n - j)) for j in range(n))
             cbsc = np.abs(p / 2**n - x * w / 4**n)
             # AND counts of the LFSR streams as one exact float32 matrix product
-            states = [np.array(lfsr_states(cfg, size))
-                      for cfg in (LfsrConfig(n, seed=_fold_seed(seed, n)),
-                                  LfsrConfig(n, ALTERNATE_TAPS[n],
-                                             seed=_fold_seed(seed ^ 0x5A5A5A, n)))]
+            states = [np.array(lfsr_states(cfg, size)) for cfg in _folded_configs(n, seed)]
             sx, sw = ((s[None, :] < np.arange(size)[:, None]).astype(np.float32) for s in states)
             conv = np.abs((sx @ sw.T) / 2**n - x * w[:, :size] / 4**n)
             assert row == (f"{n},{p.size},yes,{cbsc.max():.8f},{np.mean(cbsc):.8f},"
@@ -753,6 +776,18 @@ class TestCommandLine:
             assert (tmp_path / "ref.pgm.out").read_bytes() == (tmp_path / "stdin.out").read_bytes()
             lines = [ln[1:-1] for ln in lines]  # the first names the input, the last the output
         assert lines[0] == lines[1] != []
+
+    @pytest.mark.parametrize("command", ["compress", "sweep", "aging", "verify-mul", "calibrate"])
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+        assert text.startswith(f"usage: arsc {command} ")
+        if command == "verify-mul":
+            assert "largest operand width to sweep (3..10)" in text
+        if command == "aging":
+            assert "last year to evaluate (default: the schedule's last whole year)" in text
 
     def _assert_one_error_line(self, run, message):
         err = run.stderr.decode()
@@ -999,8 +1034,7 @@ def _scalar_verify(max_n, seed):
                 cbsc_errs.append(abs(product / size - (x * w) / (size * size)))
                 pairs += 1
 
-        cfg_x = LfsrConfig(n, seed=_fold_seed(seed, n))
-        cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=_fold_seed(seed ^ 0x5A5A5A, n))
+        cfg_x, cfg_w = _folded_configs(n, seed)
         sx = [sng_conventional(UnsignedFixed(n, x), size, cfg_x) for x in range(size)]
         sw = [sng_conventional(UnsignedFixed(n, w), size, cfg_w) for w in range(size)]
         conv_errs = []
@@ -1090,7 +1124,8 @@ class TestCalibrate:
         ("10,85.7,0.292,0.139\n+9,43.8,0.177,0.071", 3),  # a signed width
         ("10,85.7,0.2_92,0.139", 2),     # a separator in a float cell
         ("\u0661\u0660,85.7,0.292,0.139", 2),  # non-ASCII digits
-    ], ids=["separators", "signed-width", "float-separator", "non-ascii-digits"])
+        ("\n\n10,85.7,0.292,0.139\n9,43.8,x,0.071", 5),  # blank lines keep their numbers
+    ], ids=["separators", "signed-width", "float-separator", "non-ascii-digits", "blank-lines"])
     def test_non_decimal_cells_are_bad_rows(self, tmp_path, capsys, row, bad):
         rows = tmp_path / "rows.csv"
         rows.write_text(f"bitwidth,freq_mhz,power_w,latency_s\n{row}\n8,22.9,0.120,0.037\n",

@@ -403,11 +403,9 @@ class TestArrayBuilders:
     @pytest.mark.parametrize("n", range(3, 8))
     @pytest.mark.parametrize("seed", [1, 2, 1000])
     def test_conventional_counts_match_scalar(self, n, seed):
-        size = 1 << n
-        # fold the seed into each register's nonzero range as verify-mul does;
+        # the seed folded into each register's nonzero range as verify-mul does;
         # seeds 2 and 1000 start both generators away from seed 1's states
-        cfg_x = LfsrConfig(n, seed=(seed - 1) % (size - 1) + 1)
-        cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=((seed ^ 0x5A5A5A) - 1) % (size - 1) + 1)
+        cfg_x, cfg_w = _folded_configs(n, seed)
         assert conventional_and_counts(cfg_x, cfg_w).tolist() == _scalar_and_counts(cfg_x, cfg_w)
 
     @pytest.mark.parametrize("taps,seed_x,seed_w", [((3, 2, 1), 7, 3), ((4,), 5, 9),
