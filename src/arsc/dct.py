@@ -11,10 +11,12 @@ table (_stage_rows) is indexed by the raw pixel, the sample trunc(sum / 4) of th
 last stage's sum (_samples) or, into stage 4, that sum offset in place, saturation
 folded in; stage 4's sums become pixels by exact arithmetic. Stages run only the
 coefficient rows and columns holding a kept one of the frequency mask, and
-only inverse sums count clamps (see _fixed_band). A float64 path of the same
-structure, one GEMM per matrix product over pieces of whole block rows in scratch of
-its own, is the accuracy reference; with every coefficient kept it returns its input, so
-an all-pass band_pass runs none.
+only inverse sums count clamps (see _fixed_band). The accuracy reference is the
+float pipeline's exact value rounded half up: per group of kept rows that share their
+kept columns, two float64 GEMMs over pieces of whole block rows in the raster's own
+layout, and an exact decision for each value that lies too close to a half-integer
+for float64 to round (see _reference_band). With every coefficient kept it returns
+its input, so an all-pass band_pass runs none.
 Every 1D stage output is scaled by 1/4 before buffering (and re-amplified by
 4 in the inverse stages) so that all multiplier operands stay inside [0, 1);
 the net gain is exactly 1.
@@ -22,6 +24,7 @@ the net gain is exactly 1.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -54,10 +57,6 @@ def dct_basis() -> np.ndarray:
     return c
 
 
-# dct_basis() transposed, C-contiguous: a GEMM multiplies by it faster than by the .T view
-_BASIS_T = np.ascontiguousarray(dct_basis().T)
-
-
 def dct1d_ref(a) -> np.ndarray:
     """Reference forward 1D transform (float64)."""
     return dct_basis() @ np.asarray(a, dtype=np.float64)
@@ -73,12 +72,16 @@ class FrequencyMask:
     """Binary 8x8 frequency-domain mask: 1 keeps a coefficient, 0 zeroes it.
 
     kept_rows and kept_cols list the rows (vertical frequencies) and columns
-    (horizontal frequencies) holding a 1; kept_block is the mask on them."""
+    (horizontal frequencies) holding a 1; kept_block is the mask on them.
+    kept_groups holds the kept rows grouped by the columns they keep, as
+    ((rows, columns), ...) in the order of each group's first row."""
 
     m: np.ndarray  # (8, 8) read-only int16; given as any numbers equal to 0 or 1
     kept_rows: tuple[int, ...] = field(init=False, repr=False)
     kept_cols: tuple[int, ...] = field(init=False, repr=False)
     kept_block: np.ndarray = field(init=False, repr=False)
+    kept_groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(init=False,
+                                                                             repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.m)
@@ -94,6 +97,11 @@ class FrequencyMask:
         object.__setattr__(self, "kept_cols", tuple(cols.tolist()))
         object.__setattr__(self, "kept_block", m[np.ix_(rows, cols)])
         self.kept_block.setflags(write=False)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for r in rows.tolist():
+            groups.setdefault(tuple(np.flatnonzero(m[r]).tolist()), []).append(r)
+        object.__setattr__(self, "kept_groups",
+                           tuple((tuple(rs), cs) for cs, rs in groups.items()))
 
     @classmethod
     def allpass(cls) -> "FrequencyMask":
@@ -310,37 +318,170 @@ def _fixed_band(band: np.ndarray, b: int, mask: FrequencyMask):
     return pixels.reshape(band.shape), clamps
 
 
+# Above the error of every float64 value that _reference_band rounds, plus that of
+# adding 1/2 +- _DELTA to it, over any mask: tests/test_dct.py derives 5.95e-10. So a
+# value whose trunc(value + 1/2 +- _DELTA) agree rounds to that pixel exactly
+_DELTA = 2.0 ** -30
+
+
+@lru_cache(maxsize=None)
+def _projections(groups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(P_R, P_S) of each group (R, S) of FrequencyMask.kept_groups: P_R = C[R]^T C[R],
+    the projection onto basis rows R, read-only. The mask is the union of the groups'
+    R x S, so a block x's masked pipeline C^T (mask * C x C^T) C is the sum over groups
+    of P_R x P_S (P_S is symmetric)."""
+    c = dct_basis()
+    out = []
+    for kept in groups:
+        pair = tuple(c[list(k)].T @ c[list(k)] for k in kept)
+        for p in pair:
+            p.setflags(write=False)
+        out.append(pair)
+    return tuple(out)
+
+
+def _cos_eighths(q: np.ndarray) -> np.ndarray:
+    """[..., 4] integer coordinates of cos(q pi / 8), q any integers, over the basis
+    (1, cos pi/8, cos 2pi/8, cos 3pi/8) of Q(cos pi/8): cos is even with period 16,
+    cos(q pi/8) = -cos((8 - q) pi/8), and cos(4 pi/8) = 0."""
+    table = np.zeros((16, 4), dtype=np.int64)
+    for q16 in range(16):
+        r = min(q16, 16 - q16)
+        if r != 4:
+            table[q16, min(r, 8 - r)] = 1 if r < 4 else -1
+    return table[np.asarray(q) % 16]
+
+
+@lru_cache(maxsize=None)
+def _exact_kernel(groups) -> np.ndarray:
+    """128 times the masked 2D kernel of the groups of FrequencyMask.kept_groups, in
+    integer coordinates over (1, cos pi/8, cos 2pi/8, cos 3pi/8): the exact value
+    (i, j) of a block x is kernel[i, j] . x over (m, n), / 128. Integral: 8 C[k, i]
+    C[k, m] is 1 for k = 0 and cos((i - m) k pi/8) + cos((i + m + 1) k pi/8) above,
+    and 2 cos(a pi/8) cos(b pi/8) = cos((a - b) pi/8) + cos((a + b) pi/8)."""
+    k, i, m = np.ogrid[:N, :N, :N]
+    eighths = _cos_eighths(k * (i - m)) + _cos_eighths(k * (i + m + 1))  # [k, i, m, c]
+    eighths[0] = [1, 0, 0, 0]
+    a = np.arange(4)
+    twice = _cos_eighths(a[:, None] - a) + _cos_eighths(a[:, None] + a)  # [a, b, c]
+    kernel = sum((np.einsum("ima,jnb,abc->ijmnc", eighths[list(rows)].sum(axis=0),
+                            eighths[list(cols)].sum(axis=0), twice, optimize=True)
+                  for rows, cols in groups), np.zeros((N, N, N, N, 4), dtype=np.int64))
+    kernel.setflags(write=False)
+    return kernel
+
+
+@lru_cache(maxsize=None)
+def _irrational_positions(groups) -> np.ndarray:
+    """[i, j]: whether the exact kernel of value (i, j) of a block has an irrational
+    coordinate, under the groups of FrequencyMask.kept_groups."""
+    irrational = _exact_kernel(groups)[..., 1:].any(axis=(2, 3, 4))
+    irrational.setflags(write=False)
+    return irrational
+
+
+def _round_exactly(coords: np.ndarray) -> np.ndarray:
+    """floor(v + 1/2), exactly, of each value v = coords . (1, cos pi/8, cos 2pi/8,
+    cos 3pi/8) / 128 of int64 integer coordinates [value, 4]: a tie rounds up. The
+    basis is one over Q, so v is rational just where its last three coordinates are 0;
+    any other v is decided in decimal arithmetic at rising precision."""
+    out = (coords[:, 0] + 64) // 128
+    for f in np.flatnonzero(coords[:, 1:].any(axis=1)).tolist():
+        out[f] = _floor_irrational(*coords[f].tolist())
+    return out
+
+
+def _floor_irrational(a: int, b: int, c: int, d: int) -> int:
+    """floor(w / 128) of the irrational w = a + 64 + b cos pi/8 + c cos 2pi/8 + d cos 3pi/8,
+    from square roots in decimal. At precision p each rounding errs by at most 10**(1 - p)
+    of s, the sum of the terms' magnitudes, so w's value errs by far less than
+    10**(4 - p) * s; p doubles from 40 until no multiple of 128 lies that close to it,
+    which ends, as w is irrational."""
+    s, p = abs(a + 64) + abs(b) + abs(c) + abs(d), 40
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = p
+            root2 = decimal.Decimal(2).sqrt()
+            cos1, cos3 = (2 + root2).sqrt() / 2, (2 - root2).sqrt() / 2
+            w = a + 64 + b * cos1 + c * root2 / 2 + d * cos3
+            k = math.floor(w / 128)
+            err, rest = s * decimal.Decimal(10) ** (4 - p), w - 128 * k
+            if err < rest < 128 - err:
+                return k
+        p *= 2
+
+
+def _exact_pixels(pixels: np.ndarray, lo: np.ndarray, piece: np.ndarray, groups) -> None:
+    """Round exactly, in pixels, the values v of a padded piece's raster that float64
+    leaves within 2 _DELTA of a half-integer: where pixels, trunc(value + 1/2 + _DELTA),
+    differs from lo, trunc(value + 1/2 - _DELTA), both int16. Where the kernel of v's
+    position in its block is rational, 128 v is an integer (_exact_kernel), so v is a
+    tie, which the + _DELTA already rounds up. Elsewhere the integer coordinates of
+    every value of each block holding one come from one float64 GEMM on the integral
+    kernel, exact in any order (every sum is an integer below 2**53, 2 KiB per block),
+    and _round_exactly rounds them."""
+    irrational = _irrational_positions(groups)
+    if not irrational.any():
+        return
+    width = piece.shape[1]
+    flat = np.flatnonzero(pixels != lo)
+    row, col = np.divmod(flat, width)
+    far = np.flatnonzero(irrational[row % N, col % N])
+    if far.size:
+        row, col = row[far], col[far]
+        blocks, which = np.unique(row // N * (width // N) + col // N, return_inverse=True)
+        x = piece.reshape(-1, N, width // N, N).transpose(0, 2, 1, 3).reshape(-1, N * N)
+        kernel = _exact_kernel(groups).transpose(2, 3, 0, 1, 4).reshape(N * N, -1)
+        coords = (x[blocks] @ kernel.astype(np.float64)).reshape(len(blocks), N * N, 4)
+        coords = coords[which, row % N * N + col % N].astype(np.int64)
+        pixels[flat[far]] = _round_exactly(coords)
+
+
 def _reference_band(band: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    """Float64 pipeline of a padded raster of any height: its pixels. It runs over pieces
-    of _band_rows(width, CHUNK_BLOCKS // 2) rows (half-band pieces took no longer than
-    whole bands, quarters 1 to 4 % longer), in float64 scratch of one piece for the
-    products, freed on return: its memory beyond its output is bounded at any height."""
-    c, m = dct_basis(), mask.m.astype(np.float64)[:, None, :]
-    width, rows = band.shape[1], min(len(band), _band_rows(band.shape[1], CHUNK_BLOCKS // 2))
-    work = np.empty(2 * rows * width)
+    """Float64 pipeline of a padded raster of any height, each value rounded half up
+    exactly: its pixels. Each value of a block x is the sum over the mask's kept_groups
+    (R, S) of P_R x P_S (_projections), one batched GEMM down the block columns and
+    one across the block rows per group, in the raster's own layout [block row, pixel
+    row, column]. It runs over pieces of _band_rows(width, CHUNK_BLOCKS // 2) rows in
+    two float64 arrays of one piece, or of a quarter band in four arrays with more than
+    one group, freed on return: its memory beyond its output is bounded at any height.
+    Pixels are clip(trunc(value + 1/2 + _DELTA), 0, 255). Where that differs from
+    trunc(value + 1/2 - _DELTA), the float value may round either way, and the pixel is
+    computed exactly (_exact_pixels): no pixel depends on float order or BLAS kernel."""
+    groups = mask.kept_groups
+    if not groups:  # every value is 0
+        return np.zeros_like(band)
+    products = _projections(groups)
+    arrays = 2 if len(products) == 1 else 4
+    width = band.shape[1]
+    rows = min(len(band), _band_rows(width, CHUNK_BLOCKS // arrays))
+    work = np.empty(arrays * rows * width)
     out = np.empty_like(band)
     for top in range(0, len(band), rows):
         piece = band[top:top + rows]
-        # x and y take turns as the input and the output of one GEMM per product over
-        # [row, block, column]; p/256 is exact, so left out
-        x, y = work[:2 * piece.size].reshape(2, N, -1)
-        raster = x.reshape(N, -1, width)  # [pixel row of a block, block row, column]
-        np.copyto(raster, piece.reshape(-1, N, width).swapaxes(0, 1))
-        np.matmul(c, x, out=y)
-        np.matmul(y.reshape(-1, N), _BASIS_T, out=x.reshape(-1, N))
-        x.reshape(N, -1, N)[...] *= m
-        np.matmul(_BASIS_T, x, out=y)
-        np.matmul(y.reshape(-1, N), c, out=x.reshape(-1, N))
-        # negatives clip to 0 and the cast truncates, so x + 0.5 rounds to nearest. At an
-        # exact k + 1/2 the last bit of the GEMM chain decides, so the BLAS kernel does
-        np.clip(np.add(x, 0.5, out=x), 0, 255, out=x)
-        np.copyto(out[top:top + rows].reshape(-1, N, width).swapaxes(0, 1), raster,
-                  casting="unsafe")
+        # [block row, pixel row of a block, column]; p/256 is exact, so left out
+        x, y, *parts = work[:arrays * piece.size].reshape(arrays, -1, N, width)
+        total, part = parts or (x, x)  # one group's sum overwrites x once x is read
+        np.copyto(x, piece.reshape(-1, N, width))
+        for g, (p_rows, p_cols) in enumerate(products):
+            np.matmul(p_rows, x, out=y)
+            np.matmul(y.reshape(-1, N), p_cols, out=(part if g else total).reshape(-1, N))
+            if g:
+                total += part
+        # |value| <= 8 * 255 (a projection keeps a block's norm), so int16 holds it
+        # truncated; y is free to hold both
+        hi, lo = y.reshape(-1).view(np.int16)[:2 * piece.size].reshape(2, -1)
+        np.add(total.reshape(-1), 0.5 + _DELTA, out=hi, casting="unsafe")
+        np.add(total.reshape(-1), 0.5 - _DELTA, out=lo, casting="unsafe")
+        if not np.array_equal(hi, lo):
+            _exact_pixels(hi, lo, piece, groups)
+        np.clip(hi.reshape(piece.shape), 0, 255, out=out[top:top + rows], casting="unsafe")
     return out
 
 
 def reference_pipeline(img: GrayImage, mask: FrequencyMask) -> GrayImage:
-    """Float64 pipeline with the same blocks and mask; the accuracy baseline."""
+    """The accuracy baseline: the float pipeline with the same blocks and mask, each
+    pixel its exact value rounded half up (_reference_band)."""
     return GrayImage(_reference_band(_pad(img.pixels), mask)[:img.height, :img.width])
 
 
@@ -351,9 +492,8 @@ def band_pass(width: int, bands, widths, mask: FrequencyMask, sink=None) -> list
     is edge-padded to 8x8 blocks and run through the float reference once, then through
     the fixed-point pipeline at each width, whose output rows from image row y go to
     sink(k, y, rows) (k indexes `widths`) if given, valid only during the call. With
-    every coefficient kept, the float pipeline returns its input (|error| < 1e-12
-    against 0.5), so all-pass runs no reference and its SSE against the reference is
-    the SSE against the input."""
+    every coefficient kept, the reference returns its input, so all-pass runs no
+    reference and its SSE against the reference is the SSE against the input."""
     h, allpass = 0, bool(mask.m.all())
     totals = np.zeros((len(widths), 3), dtype=np.int64)  # clamps, SSE vs input, vs reference
     for band in bands(_band_rows(width, CHUNK_BLOCKS)):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import warnings
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -158,19 +158,24 @@ def _check_residuals(what: str, labels, residuals) -> None:
 
 
 def _fit(what: str, x: Sequence[float], y: Sequence[float], model):
-    """model(slope, intercept) of the least-squares line through (x, y); the model
-    refuses any coefficient it does not accept. An intercept in [-1e-6 * max(y), 0)
-    is rounding (two exact rows can land imperceptibly below zero) and becomes 0."""
+    """model(slope, intercept) of the least-squares line through (x, y), fitted exactly:
+    slope = sum((x - mean x)(y - mean y)) / sum((x - mean x)**2) in rationals over the
+    float inputs, each coefficient rounded once, so no BLAS kernel moves a bit. The
+    model refuses any coefficient it does not accept, an overflowing one among them.
+    An intercept in [-1e-6 * max(y), 0) is rounding (two exact rows can land
+    imperceptibly below zero) and becomes 0. The callers pass two distinct x or more."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+             / sum((a - mx) ** 2 for a in xs))
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an overflowing or rank-deficient fit is refused
-            slope, intercept = np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)
-    except Warning as e:
+        slope, intercept = float(slope), float(my - slope * mx)
+    except OverflowError as e:
         raise CalibrationError(f"{what} fit failed: {e}") from None
     if -1e-6 * max(y) <= intercept < 0:
         intercept = 0.0
     try:
-        return model(float(slope), float(intercept))
+        return model(slope, intercept)
     except ValueError as e:
         raise CalibrationError(f"{what} fit refused: {e}") from None
 

@@ -71,12 +71,12 @@ ROWS_CSV = (
 PUBLISHED_PLATFORM_JSON = (
     '{\n'
     '  "cycle_model": {\n'
-    '    "c_sc_cycles": 11358.633652553768,\n'
-    '    "c_ovh_cycles": 274954.1666666648\n'
+    '    "c_sc_cycles": 11358.633652553764,\n'
+    '    "c_ovh_cycles": 274954.1666666664\n'
     '  },\n'
     '  "power_model": {\n'
     '    "p_static_w": 0.057660686477910075,\n'
-    '    "p_dyn_w_per_mhz": 0.0027323825922655597\n'
+    '    "p_dyn_w_per_mhz": 0.002732382592265559\n'
     '  },\n'
     '  "base_freq_mhz": 85.7,\n'
     '  "aging_anchors_years_mhz": [\n'
@@ -1139,12 +1139,13 @@ class TestCalibrate:
         assert not cfg_path.exists()
 
     @pytest.mark.parametrize("freq,message", [
-        ("1e308", "power fit failed: overflow encountered in multiply"),
-        ("85.70000000000002", "power fit failed: Polyfit may be poorly conditioned"),
+        ("1e308", "power fit refused: p_dyn must be positive and finite, got -1.15e-309"),
+        ("85.70000000000002",
+         "power fit refused: p_dyn must be positive and finite, got -8092405580431.359"),
     ], ids=["overflow", "rank-deficient"])
     def test_failed_fit_is_one_error_line(self, tmp_path, capsys, freq, message):
-        # numpy's warnings would be extra stderr lines. Two frequencies 1 ulp apart leave
-        # the line through the two rows undetermined, yet polyfit returns one
+        # a warning would be an extra stderr line. The exact fit draws the line through
+        # two rows 1e308 MHz apart, or 1 ulp apart, and power falls along both
         rows = tmp_path / "rows.csv"
         rows.write_text(f"bitwidth,freq_mhz,power_w,latency_s\n10,85.7,0.292,0.139\n"
                         f"9,{freq},0.177,0.071\n")

@@ -1,8 +1,10 @@
 """Transform pipeline: reference path, quantized tables, fixed-point 2D."""
 
+import decimal
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from arsc.dct import (
 from arsc.mac import BITWIDTHS, AccuracySelect
 from arsc.refimage import reference_image
 from arsc.sc_core import UnsignedFixed, prefix_ones_table
+from exact_reference import HALVES, SCALE, cosines, reference_pixels
 from mac_model import SignMagnitude, mac
 
 
@@ -314,6 +317,25 @@ class TestMask:
         assert not m.kept_block.flags.writeable
         # every 1 of the mask lies in the kept block
         assert int(m.kept_block.sum()) == int(m.m.sum())
+
+    @pytest.mark.parametrize("spec,groups", [
+        (np.ones((8, 8)), [(range(8), range(8))]),
+        (np.zeros((8, 8)), []),
+        (FrequencyMask.lowpass(3).m, [(range(3), range(3))]),
+        (np.eye(8)[[2, 5]].repeat(4, axis=0), [(range(4), (2,)), (range(4, 8), (5,))]),
+        (1 - np.indices((8, 8)).sum(axis=0) % 2, [(range(0, 8, 2), range(0, 8, 2)),
+                                                  (range(1, 8, 2), range(1, 8, 2))]),
+        (np.fliplr(np.eye(8)), [((k,), (7 - k,)) for k in range(8)]),
+    ], ids=["allpass", "zero", "lowpass:3", "two-columns", "checkerboard", "anti-diagonal"])
+    def test_kept_groups(self, spec, groups):
+        # the kept rows grouped by their kept columns, in the order of each group's
+        # first row: the mask is the union of the groups' rows x columns
+        m = FrequencyMask(spec)
+        assert m.kept_groups == tuple((tuple(r), tuple(c)) for r, c in groups)
+        union = np.zeros((N, N), dtype=int)
+        for rows, cols in m.kept_groups:
+            union[np.ix_(rows, cols)] += 1
+        assert np.array_equal(union, m.m)
 
     def test_binary_only(self):
         with pytest.raises(ValueError):
@@ -1089,9 +1111,9 @@ def _per_block_reference(pixels, mask):
 
 def _assert_dense_reports(pixels, mask, reports):
     """Each width's report against _dense_chunk over the padded blocks and PSNR
-    against the per-block float reference, which it returns."""
+    against the exact reference pixels, which it returns."""
     h, w = pixels.shape
-    ref = GrayImage(_per_block_reference(pixels, mask))
+    ref = GrayImage(reference_pixels(pixels, mask.m))
     blocks = np.stack([blk for _, _, blk in _padded_blocks(pixels)])
     grid = (-(-h // N), -(-w // N), N, N)
     for b, rep in zip(BITWIDTHS, reports):
@@ -1119,7 +1141,7 @@ class TestBands:
             got = _all_widths(pixels, mask)
             assert got == want, shape
             assert [r.output.pixels.shape for r in got] == [shape] * len(BITWIDTHS)
-            blockwise = _per_block_reference(pixels, mask)
+            blockwise = reference_pixels(pixels, mask.m)
             assert np.array_equal(reference_pipeline(GrayImage(pixels), mask).pixels, blockwise)
             assert np.array_equal(ref.pixels, blockwise), shape
 
@@ -1171,9 +1193,8 @@ class TestReferenceBand:
     on which band_pass relies to run no reference for an all-pass mask."""
 
     def test_allpass_returns_the_band(self):
-        # with every coefficient kept, the four GEMMs return the integer input to
-        # within 7e-13 (20,000 random and 0/255 blocks), far inside the 0.5 that
-        # would move a rounded pixel
+        # with every coefficient kept, the projections are the identity and the
+        # reference returns its integer input (20,000 random and 0/255 blocks)
         rng = np.random.default_rng(401)
         images = [reference_image().pixels]
         for k in range(40):
@@ -1197,24 +1218,49 @@ class TestReferenceBand:
             pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
             pixels[:, ::3] = pixels[:, ::3] // 128 * 255  # full swing
             got = _reference_band(_pad(pixels), mask)[:shape[0], :shape[1]]
-            assert np.array_equal(got, _per_block_reference(pixels, mask)), shape
+            assert np.array_equal(got, reference_pixels(pixels, mask.m)), shape
 
     def test_rounding_clear_of_ties(self):
-        # The reference rounds by adding 0.5 and truncating, so at an exact k + 1/2 the
-        # last bit of its GEMM chain, and so the BLAS kernel, decides the pixel. Computed
+        # The reference's float64 value x of an exact value v is a sum over the mask's
+        # groups of fl(fl(P_R X) P_S), X a block of integers 0..255, and its pixel is
+        # trunc(x + 1/2 + delta) unless trunc(x + 1/2 - delta) differs. That is exact
+        # rounding wherever |x - v| + (the error of adding 1/2 +- delta) < delta. Computed
         # in any order, with or without FMA, a K-term dot product errs by at most
-        # gamma_K = K*u / (1 - K*u) times the sum of its terms' magnitudes (u = 2**-53).
-        # Over the four products (K = 8, |c| <= 0.5, inputs <= 255, the mask exact) that
-        # bounds a pre-rounding value's distance from exact arithmetic on the float64
-        # basis by `bound`; two kernels' values lie within 2 * bound of each other. On
-        # the benchmark's lowpass:4 images every value that a rounding boundary 0.5 ..
-        # 254.5 can move lies farther from one than that (5.83e-7 against 4.6e-10), so
-        # every kernel gives these pixels; the + 0.5 itself moves nothing (ulp 2**-45)
+        # gamma_K = K*u / (1 - K*u) times the sum of its terms' magnitudes (u = 2**-53):
+        # - basis rounding: dct_basis() lies within e_c of the exact basis, most of it
+        #   from rounding the cosines' arguments (2i + 1) k pi/16, up to 6.6 pi;
+        # - forming P_R = C[R]^T C[R] (|R| <= 8 terms of magnitude <= 1/4) errs by e_p
+        #   an entry, so by 8 e_p in a row's and a column's absolute sum;
+        # - a projection's absolute row and column sums are at most sqrt(8), since
+        #   |row|_1 <= sqrt(8) |row|_2 = sqrt(8 P_ii): so a <= sqrt(8) + 8 e_p for P_R;
+        # - the two GEMMs: fl(P_R X) errs by gamma_8 a r + 8 e_p r against exact P_R X
+        #   (r = 255), and fl(Y P_S) by gamma_8 |Y| a with |Y| <= (1 + gamma_8) a r,
+        #   plus the first error times a, plus |P_R X| 8 e_p: `group`;
+        # - times the number of groups, at most 8, plus gamma_7 of the summed terms;
+        # - |v| <= 8 * 255: a projection keeps a block's Euclidean norm, which is at
+        #   most 8 * 255. So |x + 1/2 + delta| < 2**15 and the int16 cast cannot
+        #   overflow, and adding 1/2 +- delta errs by at most u * 2042
         u = np.finfo(np.float64).eps / 2
-        gamma, bound, reach = N * u / (1 - N * u), 0.0, 255.0
-        for _ in range(4):
-            bound, reach = N * 0.5 * bound + gamma * N * 0.5 * (reach + bound), N * 0.5 * reach
-        assert 2.3e-10 < bound < 2.4e-10
+        gamma = lambda k: k * u / (1 - k * u)
+        exact = np.array([[float(sum(int(h) * b for h, b in zip(row, cosines(40))) / 2)
+                           for row in rows] for rows in HALVES])  # C to half an ulp
+        e_c = float(np.abs(dct_basis() - exact).max()) + 2.0 ** -55
+        assert 4e-16 < e_c < 6e-16
+        e_p = N * (2 * 0.5 * e_c + e_c ** 2) + gamma(N) * N * 0.25
+        a, r, groups = math.sqrt(N) + N * e_p, 255.0, N
+        first = gamma(N) * a * r + N * e_p * r
+        group = gamma(N) * (1 + gamma(N)) * a * a * r + first * a + math.sqrt(N) * r * N * e_p
+        bound = groups * group + gamma(groups - 1) * groups * (a * a * r + group)
+        reach = N * 255 + bound
+        assert reach + 1 + arsc.dct._DELTA < 2 ** 15
+        slack = bound + u * (reach + 1)
+        assert 5.9e-10 < slack < 6.0e-10 and slack < arsc.dct._DELTA
+        # a flagged value at a rational kernel is an integer over 128 within 128 (2 delta
+        # + slack) < 1 of a half-integer: a tie
+        assert SCALE * (2 * arsc.dct._DELTA + slack) < 1
+        # on the benchmark's lowpass:4 images every value that a rounding boundary 0.5 ..
+        # 254.5 can move lies 5.83e-7 or more from one, so trunc(x + 1/2 +- delta)
+        # agree there and no value is flagged
         c, mask = dct_basis(), FrequencyMask.lowpass(4)
         image = reference_image().pixels
         for name, tile in {"identity": image, "flip_h": image[:, ::-1], "flip_v": image[::-1],
@@ -1223,7 +1269,7 @@ class TestReferenceBand:
             blocks = pixels.reshape(32, N, 32, N).swapaxes(1, 2).astype(np.float64)
             values = c.T @ ((c @ blocks @ c.T) * mask.m) @ c
             margin = np.abs(values - np.clip(np.floor(values) + 0.5, 0.5, 254.5)).min()
-            assert 2 * bound < 5.82e-7 < margin < 5.84e-7, name
+            assert 2 * arsc.dct._DELTA + slack < 5.82e-7 < margin < 5.84e-7, name
             rounded = np.clip(np.floor(values + 0.5), 0, 255).swapaxes(1, 2).reshape(pixels.shape)
             assert np.array_equal(_reference_band(pixels, mask), rounded), name
 
@@ -1261,6 +1307,184 @@ class TestReferenceBand:
         finally:
             tracemalloc.stop()
         assert peak < 0.8 * 2**20, peak
+
+
+_ROW0 = FrequencyMask(_IJ[0] == 0)  # keeps row 0 only
+_COL0 = FrequencyMask(_IJ[1] == 0)  # keeps column 0 only
+EXACT_MASKS = {**PRUNING_MASKS, **{f"lowpass:{k}": FrequencyMask.lowpass(k) for k in range(1, 9)},
+               "row0": _ROW0, "col0": _COL0}
+
+
+def _swing_image(shape, seed):
+    """Random pixels with every third column 0/255."""
+    pixels = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+    pixels[:, ::3] = pixels[:, ::3] // 128 * 255
+    return pixels
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The flagged raster indices of every _exact_pixels call from now on, and the
+    coordinates of every _round_exactly call, in order."""
+    calls = {"flagged": [], "coords": []}
+    exact_pixels, round_exactly = arsc.dct._exact_pixels, arsc.dct._round_exactly
+
+    def spy_pixels(pixels, lo, piece, groups):
+        calls["flagged"].append(np.flatnonzero(pixels != lo))
+        return exact_pixels(pixels, lo, piece, groups)
+
+    def spy_round(coords):
+        calls["coords"].append(coords.copy())
+        return round_exactly(coords)
+
+    monkeypatch.setattr(arsc.dct, "_exact_pixels", spy_pixels)
+    monkeypatch.setattr(arsc.dct, "_round_exactly", spy_round)
+    return calls
+
+
+def _convergents(x, count):
+    """The first `count` continued-fraction convergents p/q of a Decimal x > 0."""
+    out, (p0, q0), (p1, q1) = [], (1, 0), (int(x), 1)
+    for _ in range(count):
+        out.append((p1, q1))
+        x = 1 / (x - int(x))
+        p0, q0, p1, q1 = p1, q1, int(x) * p1 + p0, int(x) * q1 + q0
+    return out
+
+
+class TestExactReference:
+    """The reference's pixels against the exact model of tests/exact_reference.py:
+    clip(floor(v + 1/2), 0, 255) of the exact value v, ties rounded up."""
+
+    @pytest.mark.parametrize("name", list(EXACT_MASKS))
+    def test_named_masks_round_exactly(self, name):
+        mask = EXACT_MASKS[name]
+        for pixels in (reference_image().pixels, _swing_image((61, 83), 61)):
+            got = reference_pipeline(GrayImage(pixels), mask).pixels
+            assert np.array_equal(got, reference_pixels(pixels, mask.m)), (name, pixels.shape)
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**32 - 1), st.sampled_from(["random", "swing", "binary"]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_mask_and_image_rounds_exactly(self, h, w, mask_bits, seed, kind):
+        # any of the 2**64 masks; random pixels, full-swing columns or only 0 and 255
+        pixels = _swing_image((h, w), seed)
+        if kind == "random":
+            pixels = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
+        elif kind == "binary":
+            pixels = pixels // 128 * 255
+        mask = _bits_mask(mask_bits)
+        got = reference_pipeline(GrayImage(pixels), mask).pixels
+        assert np.array_equal(got, reference_pixels(pixels, mask.m))
+
+    def test_tie_witnesses(self):
+        # lowpass:1 makes each pixel its block's mean, sum / 64, which ties where the
+        # sum is 32 mod 64; row 0 makes it its block column's mean, which ties where
+        # that sum is 4 mod 8. Ties round up
+        for pixels in (reference_image().pixels, _swing_image((256, 248), 64)):
+            blocks = pixels.reshape(-1, N, pixels.shape[1] // N, N).astype(np.int64)
+            sums = blocks.sum(axis=(1, 3))
+            want = np.clip((sums + 32) // 64, 0, 255).repeat(N, axis=0).repeat(N, axis=1)
+            got = reference_pipeline(GrayImage(pixels), FrequencyMask.lowpass(1)).pixels
+            assert np.array_equal(got, want) and (sums % 64 == 32).any()
+            columns = blocks.sum(axis=1)
+            want = ((columns + 4) // 8).repeat(N, axis=0).reshape(pixels.shape)
+            assert np.array_equal(reference_pipeline(GrayImage(pixels), _ROW0).pixels, want)
+            assert (columns % 8 == 4).any()
+        image = reference_image().pixels.astype(np.int64)
+        assert int((image.reshape(32, N, 32, N).sum(axis=(1, 3)) % 64 == 32).sum()) * 64 == 896
+        assert int((image.reshape(32, N, 256).sum(axis=1) % 8 == 4).sum()) * N == 7920
+
+    def test_decision_helper(self):
+        # values v = coords . (1, cos pi/8, cos 2pi/8, cos 3pi/8) / 128 at k + 1/2 + e:
+        # continued-fraction convergents p/q of each irrational basis element b make
+        # q b - p, and so 128 e, as small as 1/q, with both signs, where float64's
+        # rounding of q b alone is near q * 2**-53 (for cos 2pi/8 = sqrt(2)/2 these are
+        # Pell approximations of sqrt 2). q up to 1e18 needs more than 40 digits
+        coords, want, k = [], [], 97
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            root2 = decimal.Decimal(2).sqrt()
+            basis = [(2 + root2).sqrt() / 2, root2 / 2, (2 - root2).sqrt() / 2]
+            for axis, b in enumerate(basis, start=1):
+                for p, q in _convergents(b, 60):
+                    if not 10 ** 9 < q < 10 ** 18:
+                        continue
+                    gap = q * b - p  # 128 (v - k - 1/2)
+                    assert abs(gap) < q * 2.0 ** -53
+                    row = [128 * k + 64 - p, 0, 0, 0]
+                    row[axis] = q
+                    coords.append(row)
+                    want.append(k + 1 if gap > 0 else k)
+        assert len(coords) > 30 and want.count(k) > 10 and want.count(k + 1) > 10
+        # exact ties round up, from either side of 0; and values 1/128 off a tie
+        for v128 in (64, -64, -192, 128 * k + 64, 128 * k + 63, 128 * k + 65):
+            coords.append([v128, 0, 0, 0])
+            want.append(math.floor(Fraction(v128, 128) + Fraction(1, 2)))
+        got = arsc.dct._round_exactly(np.array(coords, dtype=np.int64))
+        assert got.tolist() == want
+
+    def test_kernel_is_integral(self):
+        # 128 times each 2D kernel entry has integer coordinates over (1, cos pi/8,
+        # cos 2pi/8, cos 3pi/8), which give the float kernel to 2e-15
+        basis = np.cos(np.arange(4) * np.pi / 8)
+        c = dct_basis()
+        for name, mask in EXACT_MASKS.items():
+            kernel = arsc.dct._exact_kernel(mask.kept_groups)
+            assert kernel.dtype == np.int64 and not kernel.flags.writeable, name
+            dense = np.einsum("ki,kl,lj,km,ln->ijmn", c, mask.m, c, c, c)
+            err = np.abs(kernel @ basis / 128 - dense).max()
+            assert err < 2e-15, (name, err)
+
+    def test_benchmark_inputs_take_no_exact_path(self, exact_calls):
+        # the benchmark's lowpass:4 images, the 256**2 reference image and its flips
+        # and transpose (the tiles of the 1024**2 image), flag no value; lowpass:1
+        # flags its 896 ties
+        image, mask = reference_image().pixels, FrequencyMask.lowpass(4)
+        for tile in (image, image[:, ::-1], image[::-1], image.T):
+            reference_pipeline(GrayImage(np.ascontiguousarray(tile)), mask)
+        assert sum(map(len, exact_calls["flagged"])) == 0
+        reference_pipeline(GrayImage(image), FrequencyMask.lowpass(1))
+        assert sum(map(len, exact_calls["flagged"])) == 896
+
+    @pytest.mark.parametrize("name", ["lowpass:4", "hole", "anti-diagonal", "checkerboard"])
+    def test_wide_flag_band_rounds_exactly(self, name, exact_calls, monkeypatch):
+        # flagging values within 2**-9 of a half-integer sends many values that are
+        # not ties through the exact path, irrational ones among them on every mask
+        # but the checkerboard, whose kernel is rational: every pixel still rounds exactly
+        monkeypatch.setattr(arsc.dct, "_DELTA", 2.0 ** -9)
+        mask, pixels = EXACT_MASKS[name], reference_image().pixels
+        got = reference_pipeline(GrayImage(pixels), mask).pixels
+        assert np.array_equal(got, reference_pixels(pixels, mask.m))
+        decided = np.concatenate(exact_calls["coords"] or [np.zeros((0, 4), np.int64)])
+        assert sum(map(len, exact_calls["flagged"])) >= 48
+        assert (len(decided) >= 48) == (name != "checkerboard"), len(decided)
+        assert decided[:, 1:].any(axis=1).all()
+
+    def test_projections_are_cached_read_only(self):
+        # one read-only pair per group, each a symmetric projection of rank |R|
+        for name, mask in EXACT_MASKS.items():
+            products = arsc.dct._projections(mask.kept_groups)
+            assert products is arsc.dct._projections(mask.kept_groups), name
+            assert len(products) == len(mask.kept_groups), name
+            for (rows, cols), pair in zip(mask.kept_groups, products):
+                for kept, p in zip((rows, cols), pair):
+                    assert not p.flags.writeable, name
+                    assert np.abs(p @ p - p).max() < 1e-15 and np.abs(p - p.T).max() < 1e-15
+                    assert abs(np.trace(p) - len(kept)) < 1e-14, name
+
+    def test_scratch_bounded_with_many_groups(self):
+        # the anti-diagonal mask runs eight groups in four arrays of a quarter band
+        # each: as much float scratch as one group's two of half a band
+        pixels, mask = np.tile(reference_image().pixels, (4, 1)), EXACT_MASKS["anti-diagonal"]
+        _reference_band(pixels, mask)  # warm
+        tracemalloc.start()
+        try:
+            _reference_band(pixels, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - pixels.nbytes < 0.75 * 2**20, peak
 
 
 class TestBandPassRecord:

@@ -1,5 +1,7 @@
 """Timing/power/aging models and the reconfiguration policy."""
 
+import decimal
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,31 @@ class TestCalibratePower:
                    r"got -(9\.99\d*e-07|1(\.00\d*)?e-06)$")
         with pytest.raises(CalibrationError, match=message):
             calibrate_power(rows)
+
+    def test_fit_is_correctly_rounded(self, pm, cm):
+        # the least-squares line in 60-digit decimal, from the normal equations, each
+        # coefficient rounded to float once: what the published calibrate file holds
+        def line(x, y):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                x, y = [decimal.Decimal(v) for v in x], [decimal.Decimal(v) for v in y]
+                n, sx, sy = len(x), sum(x), sum(y)
+                sxx, sxy = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
+                slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+                return float(slope), float((sy - slope * sx) / n)
+        assert line(*zip(*POWER_ROWS)) == (pm.p_dyn, pm.p_static)
+        base = max(FPGA_TABLE)[1]
+        cycles = line([float(1 << b) for b, *_ in FPGA_TABLE],
+                      [lat * base * 1e6 for *_, lat in FPGA_TABLE])
+        assert cycles == (cm.c_sc, cm.c_ovh)
+        assert (pm.p_dyn, cm.c_sc, cm.c_ovh) == (0.002732382592265559, 11358.633652553764,
+                                                  274954.1666666664)
+
+    def test_overflowing_fit_refused(self):
+        # a slope of 1e308 W over 5e-324 MHz does not fit in a float
+        message = r"^power fit failed: integer division result too large for a float$"
+        with pytest.raises(CalibrationError, match=message):
+            calibrate_power([(5e-324, 1e308), (1e-323, 1.7e308)])
 
     def test_round_trip_within_tenth_percent(self, pm):
         rows = [(f, pm.power(f)) for f, _ in POWER_ROWS]
