@@ -9,20 +9,26 @@ Commands:
 
 All commands are deterministic given their flags (verify-mul's --seed
 seeds its LFSR generators); report files are byte-identical across runs.
+
+A command opens its output files (--out, --report) before any work, and they appear only
+if it succeeds; its stdout and stderr print after it returns, so a failure prints one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .dct import N, FrequencyMask, band_pass
 from .mac import BITWIDTHS
-from .pgm import pgm_reader, pgm_writer
+from .pgm import output_file, pgm_reader, pgm_writer
 from .platform_model import (
     CalibrationError,
     PlatformConfig,
@@ -96,12 +102,12 @@ def _cells(header: str, values) -> list[str]:
 
 
 def _table(header: str, rows, report, show: bool = False) -> None:
-    """Write the CSV table of rows' cells to the --report file, if any, and to stdout if show."""
-    text = "".join(line + "\n" for line in [header, *map(",".join, rows)])
-    if show:
-        sys.stdout.write(text)
-    if report:
-        Path(report).write_text(text)
+    """Write the CSV table of rows' cells a line at a time: to report if open, to stdout if show."""
+    for line in itertools.chain([header], map(",".join, rows)):
+        if show:
+            sys.stdout.write(line + "\n")
+        if report:
+            report.write(f"{line}\n".encode())
 
 
 def _fold_seed(seed: int, width: int) -> int:
@@ -110,19 +116,16 @@ def _fold_seed(seed: int, width: int) -> int:
 
 
 def _refuse_overwrites(args) -> None:
-    """Refuse an output (--out, --report) that is a symlink loop or names a file listed before
-    it, which it would replace. --in follows --out, which may name it: compress runs in place."""
+    """Refuse an output (--out, --report) that names a file listed before it, which it would
+    replace. --in follows --out, which may name it: compress runs in place."""
     get, mask = vars(args).get, getattr(args, "mask", "")
     files = [(flag, path, os.path.realpath(path)) for flag, path in [  # realpath returns on a loop
         ("--platform", get("platform")), ("--rows", get("rows")),
         ("--mask", mask.startswith("file:") and mask[5:]), ("--out", get("output")),
         ("--in", get("input")), ("--report", get("report"))] if path]
     for i, (flag, _, real) in enumerate(files):
-        is_output = flag in ("--out", "--report")
-        if is_output and os.path.islink(real):  # realpath leaves only a symlink loop unresolved
-            raise ValueError(f"{real} is a symlink loop")  # pgm_writer's message
         for other, path, other_real in files[:i]:
-            if is_output and real == other_real:
+            if flag in ("--out", "--report") and real == other_real:
                 raise ValueError(f"{flag} and {other} name the same file: {path}")
 
 
@@ -135,15 +138,15 @@ def _metric_row(cfg: PlatformConfig, b: int, freq: float, psnr_db: float):
 
 def cmd_compress(args) -> int:
     # bands stream from the input through the pipeline into an output that appears only whole
-    with pgm_reader(args.input) as (width, height, bands):
+    with (output_file(args.report) as table, output_file(args.output) as out,
+          pgm_reader(args.input) as (width, height, bands)):
         mask = parse_mask(args.mask)
         cfg = load_platform(args.platform)
-        with pgm_writer(args.output, width, height) as write:
-            [report] = band_pass(width, bands, [args.bits], mask, lambda k, y, rows: write(rows))
-            # a report row is built, and an overflow refused, before --out appears
-            psnr = report.psnr_vs_reference
-            rows = [_metric_row(cfg, args.bits, cfg.base_freq_mhz, psnr)] if args.report else []
-
+        write = pgm_writer(out, width, height)
+        [report] = band_pass(width, bands, [args.bits], mask, lambda k, y, rows: write(rows))
+        if table:  # a report row is built, and an overflow refused, before --out appears
+            _table(REPORT_HEADER, [_metric_row(cfg, args.bits, cfg.base_freq_mhz,
+                                               report.psnr_vs_reference)], table)
     print(f"input: {args.input} ({width}x{height})")
     print(f"bitwidth: {args.bits}  mask: {args.mask}")
     print(f"psnr_vs_input_db: {report.psnr_vs_input:.4f}")
@@ -151,20 +154,19 @@ def cmd_compress(args) -> int:
     print(f"simulated_cycles_fixed: {report.total_cycles_fixed}")
     print(f"clamp_count: {report.clamp_count}")
     print(f"wrote: {args.output}")
-    _table(REPORT_HEADER, rows, args.report)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    with pgm_reader(args.input) as (width, _, bands):
+    with output_file(args.report) as table, pgm_reader(args.input) as (width, _, bands):
         mask = parse_mask(args.mask)
         cfg = load_platform(args.platform)
         # no sink: each width's rows are reduced to their errors, and no image is kept
         reports = band_pass(width, bands, BITWIDTHS, mask)
-    freqs = [min_frequency_for_throughput(cfg.cycle_model, b, args.target) for b in BITWIDTHS]
-    rows = [_metric_row(cfg, r.bitwidth, freq, r.psnr_vs_reference)
-            for r, freq in zip(reports, freqs)]
-    _table(REPORT_HEADER, rows, args.report, show=True)
+        freqs = [min_frequency_for_throughput(cfg.cycle_model, b, args.target) for b in BITWIDTHS]
+        rows = [_metric_row(cfg, r.bitwidth, freq, r.psnr_vs_reference)
+                for r, freq in zip(reports, freqs)]
+        _table(REPORT_HEADER, rows, table, show=True)
     for b, freq, row in zip(BITWIDTHS, freqs, rows):
         if freq > cfg.base_freq_mhz:
             print(f"warning: {b}-bit needs {row[1]} MHz, above the "
@@ -173,45 +175,45 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_aging(args) -> int:
-    cfg = load_platform(args.platform)
-    first, last = cfg.schedule.span
-    years = max(0, math.floor(last)) if args.years is None else args.years
-    rows = []
-    # the schedule's whole years from max(0, first) to --years, and --years itself when that
-    # is earlier; every row is computed and checked before any is printed, so a year outside
-    # the schedule or an overflow fails with empty stdout
-    for year in range(min(max(0, math.ceil(first)), years), years + 1):
-        op = select_config(cfg.cycle_model, cfg.power_model, cfg.schedule, float(year), args.target)
-        rows.append(_cells(AGING_HEADER, [year, op.frequency_mhz, op.bitwidth, op.throughput_fps,
-                                          "no" if op.bitwidth is None else "yes"]))
-    _table(AGING_HEADER, rows, args.report, show=True)
+    with output_file(args.report) as table:
+        cfg = load_platform(args.platform)
+        first, last = cfg.schedule.span
+        years = max(0, math.floor(last)) if args.years is None else args.years
+
+        def rows():
+            # the schedule's whole years from max(0, first) to --years, and --years itself
+            # when that is earlier; each row streams out as it is checked
+            for year in range(min(max(0, math.ceil(first)), years), years + 1):
+                op = select_config(cfg.cycle_model, cfg.power_model, cfg.schedule, float(year),
+                                   args.target)
+                yield _cells(AGING_HEADER, [year, op.frequency_mhz, op.bitwidth, op.throughput_fps,
+                                            "no" if op.bitwidth is None else "yes"])
+        _table(AGING_HEADER, rows(), table, show=True)
     return 0
 
 
 def cmd_verify_mul(args) -> int:
     violations = 0
     rows = []
-    for n in range(min(MAXIMAL_TAPS), args.max_n + 1):
-        # conventional multiplier: two decorrelated LFSR generators
-        cfg_x = LfsrConfig(n, seed=_fold_seed(args.seed, n))
-        cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=_fold_seed(args.seed ^ 0x5A5A5A, n))
-        check = verify_multiplier(cfg_x, cfg_w)
-        violations += check.mismatches
-        identity_ok = check.mismatches == 0
-        # float(sum) / 4**n / pairs rounds like the mean of the float errors
-        cbsc_max = check.cbsc_max_err / 4**n
-        cbsc_mean = float(check.cbsc_err_sum) / 4**n / check.pairs
-        conv_mean = float(check.conv_err_sum) / 4**n / 4**n
-        rows.append(_cells(VERIFY_HEADER, [n, check.pairs, "yes" if identity_ok else "no",
-                                           cbsc_max, cbsc_mean, conv_mean]))
-        print(
-            f"n={n}: pairs={check.pairs} identity={'ok' if identity_ok else 'VIOLATED'} "
-            f"cbsc_max_err={cbsc_max:.6f} cbsc_mean_err={cbsc_mean:.6f} "
-            f"conv_mean_err={conv_mean:.6f} "
-            f"(cbsc<=conv: {'yes' if cbsc_mean <= conv_mean else 'no'})"
-        )
-
-    _table(VERIFY_HEADER, rows, args.report)
+    with output_file(args.report) as table:
+        for n in range(min(MAXIMAL_TAPS), args.max_n + 1):
+            # conventional multiplier: two decorrelated LFSR generators
+            cfg_x = LfsrConfig(n, seed=_fold_seed(args.seed, n))
+            cfg_w = LfsrConfig(n, ALTERNATE_TAPS[n], seed=_fold_seed(args.seed ^ 0x5A5A5A, n))
+            check = verify_multiplier(cfg_x, cfg_w)
+            violations += check.mismatches
+            identity_ok = check.mismatches == 0
+            # float(sum) / 4**n / pairs rounds like the mean of the float errors
+            cbsc_max = check.cbsc_max_err / 4**n
+            cbsc_mean = float(check.cbsc_err_sum) / 4**n / check.pairs
+            conv_mean = float(check.conv_err_sum) / 4**n / 4**n
+            rows.append(_cells(VERIFY_HEADER, [n, check.pairs, "yes" if identity_ok else "no",
+                                               cbsc_max, cbsc_mean, conv_mean]))
+            print(f"n={n}: pairs={check.pairs} identity={'ok' if identity_ok else 'VIOLATED'} "
+                  f"cbsc_max_err={cbsc_max:.6f} cbsc_mean_err={cbsc_mean:.6f} "
+                  f"conv_mean_err={conv_mean:.6f} "
+                  f"(cbsc<=conv: {'yes' if cbsc_mean <= conv_mean else 'no'})")
+        _table(VERIFY_HEADER, rows, table)
     if violations:
         print(f"error: {violations} identity violations", file=sys.stderr)
         return 1
@@ -247,17 +249,16 @@ def _read_rows_csv(path):
 
 
 def cmd_calibrate(args) -> int:
-    rows = _read_rows_csv(args.rows)
-    cfg = calibrate_platform(rows)
-
-    print(f"c_sc_cycles: {cfg.cycle_model.c_sc:.4f}")
-    print(f"c_ovh_cycles: {cfg.cycle_model.c_ovh:.4f}")
-    print(f"p_static_w: {cfg.power_model.p_static:.6f}")
-    print(f"p_dyn_w_per_mhz: {cfg.power_model.p_dyn:.8f}")
-    for (b, f, _, _), (cres, pres) in zip(rows, calibration_residuals(cfg, rows)):
-        print(f"b={b} f={f:g}MHz: cycle_residual={cres:.2%} power_residual={pres:.2%}")
-
-    save_platform(cfg, args.output)
+    with output_file(args.output) as out:
+        rows = _read_rows_csv(args.rows)
+        cfg = calibrate_platform(rows)
+        print(f"c_sc_cycles: {cfg.cycle_model.c_sc:.4f}")
+        print(f"c_ovh_cycles: {cfg.cycle_model.c_ovh:.4f}")
+        print(f"p_static_w: {cfg.power_model.p_static:.6f}")
+        print(f"p_dyn_w_per_mhz: {cfg.power_model.p_dyn:.8f}")
+        for (b, f, _, _), (cres, pres) in zip(rows, calibration_residuals(cfg, rows)):
+            print(f"b={b} f={f:g}MHz: cycle_residual={cres:.2%} power_residual={pres:.2%}")
+        save_platform(cfg, out)
     print(f"wrote: {args.output}")
     return 0
 
@@ -270,10 +271,10 @@ def finite_positive_float(text: str) -> float:
 
 
 def output_path(text: str) -> Path:
-    path = Path(text)
-    if path.is_dir() or not path.parent.is_dir():  # refused before any work or output
+    real = Path(os.path.realpath(text))  # what output_file writes, through any symlink
+    if real.is_dir() or not real.parent.is_dir():  # refused before any work or output
         raise argparse.ArgumentTypeError(f"{text!r} is not a file path in an existing directory")
-    return path
+    return Path(text)
 
 
 def nonnegative_int(text: str) -> int:
@@ -335,15 +336,22 @@ def main(argv=None) -> int:
     # looked up by name at each call, so a command replaced after the parser was
     # built (a wrapper that times it, say) is the one that runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
-    try:
-        _refuse_overwrites(args)  # before any work
-        return command(args)
-    except CalibrationError as e:
-        print(f"calibration error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    # the command's stdout and stderr, in memory until 64 KiB, printed once it has returned
+    spool = functools.partial(tempfile.SpooledTemporaryFile, 1 << 16, "w+", encoding="utf-8",
+                              errors="surrogatepass", newline="")
+    with spool() as out, spool() as err:
+        try:
+            _refuse_overwrites(args)  # before any work
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = command(args)
+            for spooled, stream in ((out, sys.stdout), (err, sys.stderr)):
+                spooled.seek(0)
+                stream.writelines(spooled)
+            return code
+        except (ValueError, OSError) as e:
+            kind = "calibration error" if isinstance(e, CalibrationError) else "error"
+            print(f"{kind}: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

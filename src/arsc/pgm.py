@@ -1,4 +1,4 @@
-"""Binary PGM (P5) image I/O, maxval 255 only, streamed in row bands."""
+"""Binary PGM (P5, maxval 255) I/O in row bands, and output_file, the one writer of outputs."""
 
 from __future__ import annotations
 
@@ -81,24 +81,31 @@ def read_pgm(path) -> GrayImage:
 
 
 @contextmanager
-def pgm_writer(path, width: int, height: int):
-    """A function writing a binary PGM file's raster in row bands, top to bottom, to a
-    temporary file beside the resolved path. It replaces the path when the with block
-    ends without an exception, and is removed on any failure."""
+def output_file(path):
+    """An open binary file, a temporary beside path's realpath, that replaces path when the with
+    block ends without an exception and is removed on any other exit; None for no path."""
+    if path is None:
+        yield None
+        return
     path = Path(os.path.realpath(path))  # Path.resolve raises RuntimeError on a loop in 3.11
     if path.is_symlink():  # realpath leaves only a symlink loop unresolved
         raise ValueError(f"{path} is a symlink loop")
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
-            f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            yield lambda rows: f.write(np.ascontiguousarray(rows))
+            yield f
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # already gone once replaced
 
 
+def pgm_writer(f, width: int, height: int):
+    """Write a PGM header to binary file f; return a writer of its raster's row bands, in order."""
+    f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+    return lambda rows: f.write(np.ascontiguousarray(rows))
+
+
 def write_pgm(img: GrayImage, path) -> None:
     """Write a binary PGM file."""
-    with pgm_writer(path, img.width, img.height) as write:
-        write(img.pixels)
+    with output_file(path) as f:
+        pgm_writer(f, img.width, img.height)(img.pixels)

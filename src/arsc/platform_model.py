@@ -339,13 +339,17 @@ _FILE_KEYS = {"cycle_model": (CycleModel, ("c_sc_cycles", "c_ovh_cycles")),
               "power_model": (PowerModel, ("p_static_w", "p_dyn_w_per_mhz"))}
 
 
-def save_platform(cfg: PlatformConfig, path) -> None:
-    """Write cfg as a platform config file; non-finite values are refused."""
+def save_platform(cfg: PlatformConfig, f=None) -> str | None:
+    """cfg as a platform config file, written into the open binary file f, or its text
+    returned if f is None; non-finite values are refused."""
     doc = {name: dict(zip(keys, astuple(getattr(cfg, name))))
            for name, (_, keys) in _FILE_KEYS.items()}
     doc["base_freq_mhz"] = cfg.base_freq_mhz
     doc["aging_anchors_years_mhz"] = [list(a) for a in cfg.schedule.anchors]
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    if f is None:
+        return text
+    f.write(text.encode())
 
 
 _JSON_KINDS = {dict: "an object", list: "an array"}

@@ -1,6 +1,8 @@
 """Command-line interface: all five commands plus their failure modes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -124,14 +126,19 @@ PLATFORM_NUMBERS = [
 def _platform_with(tmp_path, field, value):
     """The bundled platform saved to a file, with the entry at `field` set to `value`."""
     path = tmp_path / "p.json"
-    save_platform(default_platform(), path)
-    doc = json.loads(path.read_text())
+    doc = json.loads(save_platform(default_platform()))
     node = doc
     for key in field[:-1]:
         node = node[key]
     node[field[-1]] = value
     path.write_text(json.dumps(doc))
     return path
+
+
+def _one_stream(argv):
+    """main(argv)'s exit code and what it printed, its stdout and stderr as one stream."""
+    with io.StringIO() as both, contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        return main(argv), both.getvalue()
 
 
 def _count_band_work(tmp_path, monkeypatch, argv):
@@ -261,6 +268,9 @@ class TestSweep:
         err = captured.err.splitlines()
         assert [int(ln.split()[1].split("-")[0]) for ln in err] == warned
         assert all(ln.startswith("warning: ") and "85.7000 MHz base clock" in ln for ln in err)
+        # the warnings print after the table
+        assert _one_stream(["sweep", "--in", str(small_image), "--target", target]) == (
+            0, captured.out + captured.err)
 
     def test_width_independent_work_runs_once_per_band(self, tmp_path, monkeypatch):
         calls, bands, _ = _count_band_work(tmp_path, monkeypatch, ["sweep"])
@@ -371,6 +381,23 @@ class TestAging:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert not rep.exists()
+
+    def test_memory_does_not_grow_with_the_years(self, tmp_path):
+        # each row streams into the report and the stdout spool, which keeps 64 KiB in memory:
+        # 20,000 years peaked at 10 MiB when every row was held until all were checked
+        platform = _platform_with(tmp_path, ("aging_anchors_years_mhz", 1, 0), 20_000)
+        rep = tmp_path / "aging.csv"
+        argv = ["aging", "--platform", str(platform), "--report", str(rep)]
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert main(argv) == 0  # warm
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(rep.read_text().splitlines()) == 20_002
+        assert peak < 1 << 20, peak
 
     def test_years_beyond_schedule(self):
         assert main(["aging", "--target", "7.19", "--years", "12"]) == 1
@@ -562,6 +589,8 @@ class TestVerifyMul:
         assert identity == ["identity=ok", "identity=VIOLATED", "identity=ok"]
         assert [r.split(",")[2] for r in rep.read_text().splitlines()[1:]] == ["yes", "no", "yes"]
         assert captured.err == "error: 1 identity violations\n"
+        # the error line prints after the n= lines
+        assert _one_stream(["verify-mul", "--max-n", "5"]) == (1, captured.out + captured.err)
 
     def test_violation_in_last_block_counted_once(self, capsys, monkeypatch):
         real = arsc.sc_core.prefix_ones_table
@@ -831,8 +860,30 @@ SAME_FILE_CASES = {
 }
 
 
+# each output of each command: its argv up to and including the output's flag
+OUTPUT_FLAGS = {
+    "compress-report": ["compress", "--in", "{image}", "--out", "{tmp}/o.pgm", "--report"],
+    "compress-out": ["compress", "--in", "{image}", "--out"],
+    "sweep-report": ["sweep", "--in", "{image}", "--report"],
+    "aging-report": ["aging", "--years", "2", "--report"],
+    "verify-mul-report": ["verify-mul", "--max-n", "3", "--report"],
+    "calibrate-out": ["calibrate", "--rows", "{rows}", "--out"],
+}
+# symlinks whose target is no file path in an existing directory
+LINKS = ["missing_link", "dir_link"]
+
+# a command failing once its output is open: (argv, the cli name that fails, and when)
+FAILS_AFTER_OPEN = {
+    "verify-mul": (["verify-mul", "--max-n", "4", "--report", "out"], "verify_multiplier",
+                   lambda cfg_x, cfg_w: cfg_x.width == 4),  # the last width
+    "calibrate": (["calibrate", "--rows", "rows.csv", "--out", "out"], "calibration_residuals",
+                  lambda cfg, rows: True),  # after the fit
+}
+
+
 class TestOutputPaths:
-    """An output path that cannot be a file is refused before any work."""
+    """An output path that cannot be a file is refused before any work, and a command that
+    fails leaves every output as it was."""
 
     @pytest.mark.parametrize("argv", [
         ["verify-mul", "--max-n", "3", "--report", "{missing}/v.csv"],
@@ -843,14 +894,20 @@ class TestOutputPaths:
         ["calibrate", "--rows", "{rows}", "--out", "{missing}/p.json"],
         ["verify-mul", "--max-n", "3", "--report", "{image}/v.csv"],
         ["calibrate", "--rows", "{rows}", "--out", "{tmp}"],
+        *([*argv, f"{{{link}}}"] for argv in OUTPUT_FLAGS.values() for link in LINKS),
     ], ids=["verify-mul", "compress-out", "compress-report", "sweep", "aging", "calibrate",
-            "parent-is-a-file", "path-is-a-directory"])
+            "parent-is-a-file", "path-is-a-directory",
+            *(f"{name}-{link}" for name in OUTPUT_FLAGS for link in LINKS)])
     def test_refused_at_parsing(self, tmp_path, small_image, capsys, argv):
         rows = tmp_path / "rows.csv"
         rows.write_text(ROWS_CSV)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "missing.link").symlink_to(tmp_path / "no" / "such" / "file")
+        (tmp_path / "dir.link").symlink_to(tmp_path / "sub")
         before = sorted(tmp_path.rglob("*"))
         names = {"missing": tmp_path / "no" / "such", "image": small_image, "tmp": tmp_path,
-                 "rows": rows}
+                 "rows": rows, "missing_link": tmp_path / "missing.link",
+                 "dir_link": tmp_path / "dir.link"}
         with pytest.raises(SystemExit) as exc:
             main([a.format(**names) for a in argv])
         captured = capsys.readouterr()
@@ -895,7 +952,7 @@ class TestOutputPaths:
         monkeypatch.chdir(tmp_path)
         Path("img.pgm").write_bytes(small_image.read_bytes())
         if content == "platform":
-            save_platform(default_platform(), small_image)
+            small_image.write_text(save_platform(default_platform()))
         elif content:
             small_image.write_text(content)
         (tmp_path / "sub").mkdir()
@@ -908,6 +965,31 @@ class TestOutputPaths:
         assert captured.err == f"error: {flags} name the same file: in.pgm\n"
         assert sorted(tmp_path.rglob("*")) == before
         assert small_image.read_bytes() == data
+
+    @pytest.mark.parametrize("exists", [False, True])
+    @pytest.mark.parametrize("command", list(FAILS_AFTER_OPEN))
+    def test_failure_after_the_output_opens_prints_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, command, exists):
+        argv, name, fails = FAILS_AFTER_OPEN[command]
+        monkeypatch.chdir(tmp_path)
+        Path("rows.csv").write_text(ROWS_CSV)
+        if exists:
+            Path("out").write_bytes(b"old")
+        real = getattr(arsc.cli, name)
+
+        def failing(*args):
+            if fails(*args):
+                raise ValueError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(arsc.cli, name, failing)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: injected failure\n"
+        # no .tmp file either
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["compress", "sweep"])
     def test_looping_in_path_with_a_report_is_one_error_line(self, tmp_path, capsys,
@@ -1007,8 +1089,8 @@ class TestImageGolden:
     def test_compress_cycles_ignore_old_parallelism_key(self, tmp_path, ref_pgm, capsys, b):
         # older calibrate runs wrote a "parallelism" key; the cycles ignore its value
         old = tmp_path / "old.json"
-        save_platform(default_platform(), old)
-        old.write_text(json.dumps({**json.loads(old.read_text()), "parallelism": 1}))
+        old.write_text(json.dumps({**json.loads(save_platform(default_platform())),
+                                   "parallelism": 1}))
         capsys.readouterr()
         assert main(["compress", "--in", str(ref_pgm), "--out", str(tmp_path / "out.pgm"),
                      "--bits", str(b), "--platform", str(old)]) == 0
@@ -1170,7 +1252,7 @@ class TestCalibrate:
     def test_config_round_trip(self, tmp_path, small_image):
         cfg = default_platform()
         path = tmp_path / "p.json"
-        save_platform(cfg, path)
+        path.write_text(save_platform(cfg))
         again = load_platform(path)
         assert again.cycle_model.c_sc == pytest.approx(cfg.cycle_model.c_sc)
         assert again.schedule.anchors == cfg.schedule.anchors
@@ -1181,8 +1263,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("parallelism", [8, 0])
     def test_old_parallelism_key_ignored(self, tmp_path, parallelism):
         path = tmp_path / "p.json"
-        save_platform(default_platform(), path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(save_platform(default_platform()))
         path.write_text(json.dumps({**doc, "parallelism": parallelism}))
         assert load_platform(path) == default_platform()
 
